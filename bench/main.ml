@@ -558,64 +558,23 @@ let section_fastpath () =
       ("glance Monitor.handle", "glance-handle-interpreted",
        "glance-handle-compiled")
     ];
-  (* incremental engine: contract re-evaluations per request under both
-     eval modes on the standard mixed workload, plus the memoized-hit
-     microbench (the CI allocation gate reads these rows back from
-     BENCH_fastpath.json) *)
-  print_newline ();
-  let ev =
-    match Cloudmon.Serve_bench.run_eval_comparison Cloudmon.Serve_bench.default_spec with
-    | Ok ev -> ev
-    | Error msgs -> failwith ("eval comparison failed: " ^ String.concat "; " msgs)
-  in
-  Printf.printf
-    "incremental: %.2f -> %.2f evals/request (%.2fx reduction), %d replays, \
-     %.1f%% node hits\n"
-    ev.Cloudmon.Serve_bench.ev_full_per_req ev.Cloudmon.Serve_bench.ev_inc_per_req
-    ev.Cloudmon.Serve_bench.ev_reduction ev.Cloudmon.Serve_bench.ev_replays
-    (100. *. ev.Cloudmon.Serve_bench.ev_node_hit_rate);
-  Printf.printf "memoized-hit check: %.1f ns, %.2f minor words/check\n"
-    ev.Cloudmon.Serve_bench.ev_hit_ns ev.Cloudmon.Serve_bench.ev_hit_minor_words;
   if !json_output then begin
-    let base_rows =
-      List.map
-        (fun (name, ns, r2) ->
-          Json.obj
-            [ ("benchmark", Json.string name);
-              ("ns_per_run", Json.float ns);
-              ("r2", Json.float r2)
-            ])
-        rows
+    let doc =
+      Json.list
+        (List.map
+           (fun (name, ns, r2) ->
+             Json.obj
+               [ ("benchmark", Json.string name);
+                 ("ns_per_run", Json.float ns);
+                 ("r2", Json.float r2)
+               ])
+           rows)
     in
-    let inc_rows =
-      [ Json.obj
-          [ ("benchmark", Json.string "incremental/memoized-hit-check");
-            ("ns_per_run", Json.float ev.Cloudmon.Serve_bench.ev_hit_ns);
-            ("r2", Json.float 1.0);
-            ( "minor_words_per_check",
-              Json.float ev.Cloudmon.Serve_bench.ev_hit_minor_words )
-          ];
-        Json.obj
-          [ ("benchmark", Json.string "incremental/evals-per-request-full");
-            ("evals_per_request", Json.float ev.Cloudmon.Serve_bench.ev_full_per_req)
-          ];
-        Json.obj
-          [ ("benchmark", Json.string "incremental/evals-per-request-incremental");
-            ("evals_per_request", Json.float ev.Cloudmon.Serve_bench.ev_inc_per_req)
-          ];
-        Json.obj
-          [ ("benchmark", Json.string "incremental/eval-reduction");
-            ("factor", Json.float ev.Cloudmon.Serve_bench.ev_reduction)
-          ]
-      ]
-    in
-    let doc = Json.list (base_rows @ inc_rows) in
     let oc = open_out "BENCH_fastpath.json" in
     output_string oc (Cm_json.Printer.to_string_pretty doc);
     output_string oc "\n";
     close_out oc;
-    Printf.printf "\nwrote BENCH_fastpath.json (%d rows)\n"
-      (List.length rows + List.length inc_rows)
+    Printf.printf "\nwrote BENCH_fastpath.json (%d rows)\n" (List.length rows)
   end
 
 let section_resilience () =

@@ -459,8 +459,8 @@ let shrink_arg =
 
 let oracle_arg =
   let doc =
-    "Which oracle to drive: all, engine, rbac, codegen, monitor, \
-     incremental, chaos, workload or journal."
+    "Which oracle to drive: all, engine, rbac, codegen, monitor, chaos, \
+     workload or journal."
   in
   Arg.(value & opt string "all" & info [ "oracle" ] ~docv:"NAME" ~doc)
 
@@ -601,9 +601,11 @@ let replay mix_name seed =
     List.iter
       (fun (m : W.mix) ->
         let trace = m.W.compile ~seed in
-        (* Record once live (default engine), then replay the journal on
-           a fresh cloud under both evaluation modes: all three verdict
-           streams must be bit-identical. *)
+        (* Record once live (compiled engine), then replay the journal on
+           a fresh cloud under the compiled engine — its verdict stream
+           must be bit-identical to the live one — and under the
+           interpreted reference, whose outcomes must agree with the
+           compiled replay's up to fault-localization hints. *)
         match Scenario.setup_journaled ~cross:true () with
         | Error msgs ->
           List.iter prerr_endline msgs;
@@ -613,32 +615,36 @@ let replay mix_name seed =
           Jmonitor.sync jctx.Scenario.jmon;
           let events = Scenario.journal_events jctx in
           let live = Jmonitor.journaled_verdict_lines events in
-          List.iter
-            (fun (eval_name, eval) ->
-              match Scenario.replay_journal ~cross:true ~eval events with
-              | Error msgs ->
-                List.iter prerr_endline msgs;
-                incr failures
-              | Ok replayed ->
-                let ok = replayed = live in
-                Printf.printf "%-12s %-12s %4d verdicts  %s\n" m.W.mix_name
-                  eval_name (List.length live)
-                  (if ok then "bit-identical" else "DIVERGED");
-                if not ok then begin
-                  incr failures;
-                  List.iteri
-                    (fun i (a, b) ->
-                      if not (String.equal a b) then
-                        Printf.printf "  step %d:\n    live:   %s\n    replay: %s\n"
-                          i a b)
-                    (List.combine live
-                       (List.filteri
-                          (fun i _ -> i < List.length live)
-                          replayed))
-                end)
-            [ ("full", Runtime.Full_eval);
-              ("incremental", Runtime.Incremental)
-            ])
+          let replay engine =
+            Scenario.replay_journal ~cross:true ~engine events
+          in
+          match replay Runtime.Compiled, replay Runtime.Interpreted with
+          | Error msgs, _ | _, Error msgs ->
+            List.iter prerr_endline msgs;
+            incr failures
+          | Ok jm_c, Ok jm_i ->
+            let report engine ok verdict =
+              Printf.printf "%-12s %-12s %4d verdicts  %s\n" m.W.mix_name
+                engine (List.length live)
+                (if ok then verdict else "DIVERGED");
+              if not ok then incr failures
+            in
+            let replayed = Jmonitor.verdict_lines jm_c in
+            let identical = replayed = live in
+            report "compiled" identical "bit-identical";
+            if not identical then
+              List.iteri
+                (fun i (a, b) ->
+                  if not (String.equal a b) then
+                    Printf.printf "  step %d:\n    live:   %s\n    replay: %s\n"
+                      i a b)
+                (List.combine live
+                   (List.filteri (fun i _ -> i < List.length live) replayed));
+            let keys jm =
+              List.map Cm_proptest.Oracle.outcome_key
+                (Cloudmon.Monitor.outcomes (Jmonitor.monitor jm))
+            in
+            report "interpreted" (keys jm_i = keys jm_c) "agrees")
       mixes;
     if !failures = 0 then 0 else 1
   end
@@ -652,8 +658,9 @@ let replay_cmd =
     (Cmd.info "replay"
        ~doc:
          "record a workload through the journaled monitor, replay the \
-          journal against a fresh cloud under both evaluation modes, and \
-          check the verdict streams are bit-identical")
+          journal against a fresh cloud under the compiled engine (verdict \
+          stream bit-identical to the live one) and the interpreted \
+          reference (same outcomes)")
     Term.(const replay $ replay_mix_arg $ seed_arg)
 
 (* ---- recover: crash-point injection and exactly-once recovery ---- *)
@@ -971,8 +978,8 @@ let sb_resilience_baseline_arg =
 
 (* ---- workload: the traffic-mix DSL ---- *)
 
-let workload list_flag mix_name seed trace_flag fuzz_cases kill_flag eval_name
-    domains chaos_flag =
+let workload list_flag mix_name seed trace_flag fuzz_cases kill_flag domains
+    chaos_flag =
   let module W = Cloudmon.Workload in
   let module Mutant = Cloudmon.Mutation.Mutant in
   let module Campaign = Cloudmon.Mutation.Campaign in
@@ -1040,31 +1047,15 @@ let workload list_flag mix_name seed trace_flag fuzz_cases kill_flag eval_name
   end;
   if kill_flag then begin
     ran := true;
-    let evals =
-      match eval_name with
-      | "full" -> [ Cloudmon.Contracts.Runtime.Full_eval ]
-      | "incremental" -> [ Cloudmon.Contracts.Runtime.Incremental ]
-      | _ ->
-        [ Cloudmon.Contracts.Runtime.Full_eval;
-          Cloudmon.Contracts.Runtime.Incremental
-        ]
-    in
-    List.iter
-      (fun eval ->
-        Printf.printf "=== cross kill matrix (%s, %d domains) ===\n"
-          (match eval with
-           | Cloudmon.Contracts.Runtime.Full_eval -> "full evaluation"
-           | Cloudmon.Contracts.Runtime.Incremental -> "incremental")
-          domains;
-        match Campaign.run_cross ~domains ~eval Mutant.all_extended with
-        | Error msgs ->
-          List.iter prerr_endline msgs;
-          incr failures
-        | Ok results ->
-          print_string (Campaign.kill_matrix results);
-          print_newline ();
-          if not (Campaign.all_killed results) then incr failures)
-      evals
+    Printf.printf "=== cross kill matrix (%d domains) ===\n" domains;
+    match Campaign.run_cross ~domains Mutant.all_extended with
+    | Error msgs ->
+      List.iter prerr_endline msgs;
+      incr failures
+    | Ok results ->
+      print_string (Campaign.kill_matrix results);
+      print_newline ();
+      if not (Campaign.all_killed results) then incr failures
   end;
   if chaos_flag then begin
     ran := true;
@@ -1110,13 +1101,6 @@ let wl_kill_arg =
   in
   Arg.(value & flag & info [ "kill-matrix" ] ~doc)
 
-let wl_eval_arg =
-  let doc =
-    "With --kill-matrix: contract evaluation mode — full, incremental, or \
-     both (default)."
-  in
-  Arg.(value & opt string "both" & info [ "eval" ] ~docv:"MODE" ~doc)
-
 let wl_domains_arg =
   let doc = "With --kill-matrix: fan campaign entries over N domains." in
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
@@ -1137,7 +1121,7 @@ let workload_cmd =
           kill/chaos matrices")
     Term.(
       const workload $ wl_list_arg $ wl_mix_arg $ seed_arg $ wl_trace_arg
-      $ wl_fuzz_arg $ wl_kill_arg $ wl_eval_arg $ wl_domains_arg $ wl_chaos_arg)
+      $ wl_fuzz_arg $ wl_kill_arg $ wl_domains_arg $ wl_chaos_arg)
 
 let serve_bench_cmd =
   Cmd.v

@@ -19,19 +19,6 @@ type engine =
   | Interpreted  (** walk the AST with {!Cm_ocl.Eval} on every check *)
   | Compiled     (** evaluate staged closures ({!Cm_ocl.Compile}) *)
 
-(** How observed states are (re)built between requests. *)
-type eval_mode =
-  | Full_eval
-      (** fresh frame per observation, every expression re-evaluated per
-          check — the seed behaviour *)
-  | Incremental
-      (** one persistent frame per contract; re-observed values are
-          diffed in ({!Cm_ocl.Compile.refresh}) and checks replay
-          memoized verdicts whenever their dependency slots are
-          unchanged.  Only effective with the {!Compiled} engine;
-          verdict-equivalent to [Full_eval] by construction (diffing is
-          value-based, not delta-trust-based). *)
-
 type subscription = {
   sub_events : (Cm_http.Meth.t * string * bool) list;
       (** the (method, resource, tenant-keyed) events whose write effects
@@ -52,9 +39,9 @@ type prepared
     staged (do this once, not per request). *)
 
 val prepare :
-  ?strategy:strategy -> ?engine:engine -> ?eval:eval_mode ->
-  ?subscription:subscription -> Contract.t -> prepared
-(** Defaults: [Lean], [Compiled], [Full_eval], no subscription. *)
+  ?strategy:strategy -> ?engine:engine -> ?subscription:subscription ->
+  Contract.t -> prepared
+(** Defaults: [Lean], [Compiled], no subscription. *)
 
 val subscription : prepared -> subscription option
 
@@ -66,7 +53,6 @@ val subscribed_to :
 val contract : prepared -> Contract.t
 val strategy : prepared -> strategy
 val engine : prepared -> engine
-val eval_mode : prepared -> eval_mode
 
 val footprint : prepared -> Cm_ocl.Footprint.t
 (** Static read-set over all of the contract's expressions (pre,
@@ -79,13 +65,8 @@ type observed
     once per observation and reuse it for every check against that
     state. *)
 
-val observe : ?changed:(string -> bool) -> prepared -> Cm_ocl.Eval.env -> observed
-(** Project an environment.  Under {!Incremental} this refreshes the
-    contract's persistent frame in place and returns the same [observed]
-    record every time.  [changed] (trusted-delta mode) marks roots the
-    caller {e proves} were untouched since the last observation: those
-    are skipped without even diffing.  Omit it — the default diffs
-    every root — unless staleness of skipped roots is acceptable. *)
+val observe : prepared -> Cm_ocl.Eval.env -> observed
+(** Project an environment onto a fresh frame of the contract's plan. *)
 
 val observed_env : observed -> Cm_ocl.Eval.env
 
@@ -129,21 +110,14 @@ val check_post :
 val check_post_observed :
   prepared -> snapshot -> observed -> Cm_ocl.Eval.verdict
 
-(** {2 Incremental-evaluation statistics} *)
+(** {2 Evaluation statistics} *)
 
 type eval_stats = {
   evals : int;  (** top-level expression evaluations *)
-  replays : int;  (** top-level memoized verdict replays *)
-  node_hits : int;  (** inner connective cache hits *)
-  node_evals : int;  (** inner connective evaluations *)
-  refreshes : int;  (** frame refreshes (observations) *)
-  slots_changed : int;  (** slot values that actually changed *)
+  replays : int;
+      (** always 0: every check evaluates its expression.  Kept so
+          existing readers of the record still compile. *)
 }
 
 val eval_stats : prepared -> eval_stats
-(** Counters since prepare (or the last reset).  [evals]/[replays] are
-    also maintained under {!Full_eval} (where [replays] stays 0), so
-    the two modes can be compared on identical workloads. *)
-
-val reset_eval_counters : prepared -> unit
-(** Resets [evals]/[replays] (the memo's node counters keep running). *)
+(** Counters since prepare. *)

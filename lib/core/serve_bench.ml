@@ -151,8 +151,8 @@ let workload spec world =
 (* ---- monitor pools --------------------------------------------------- *)
 
 let pool_config ?(footprint_pruning = true) ?(cache = Obs_cache.Cross_request)
-    ?eval ?resilience world =
-  Monitor.default_config ~footprint_pruning ~cache ?eval ?resilience
+    ?resilience world =
+  Monitor.default_config ~footprint_pruning ~cache ?resilience
     ~service_token:world.service_token
     ~service_token_for:(service_token_for world)
     ~security:
@@ -161,10 +161,9 @@ let pool_config ?(footprint_pruning = true) ?(cache = Obs_cache.Cross_request)
       }
     Cm_uml.Cinder_model.resources Cm_uml.Cinder_model.behavior
 
-let make_pool ?footprint_pruning ?cache ?eval ?resilience ~shards world backend
-    =
+let make_pool ?footprint_pruning ?cache ?resilience ~shards world backend =
   Shard.create ~shards
-    (pool_config ?footprint_pruning ?cache ?eval ?resilience world)
+    (pool_config ?footprint_pruning ?cache ?resilience world)
     backend
 
 (* ---- measurements ---------------------------------------------------- *)
@@ -205,16 +204,6 @@ type latency = {
   lat_max_ns : float;
 }
 
-type eval_comparison = {
-  ev_full_per_req : float;  (* contract evaluations/request, Full_eval *)
-  ev_inc_per_req : float;  (* same workload, Incremental *)
-  ev_reduction : float;  (* full/incremental — the >= 3x target *)
-  ev_replays : int;  (* memoized verdict replays in the incremental run *)
-  ev_node_hit_rate : float;  (* inner connective cache hit rate *)
-  ev_hit_ns : float;  (* one memoized-hit precondition check *)
-  ev_hit_minor_words : float;  (* minor-heap words per such check; target 0 *)
-}
-
 type report = {
   rp_projects : int;
   rp_requests_per_project : int;
@@ -233,9 +222,11 @@ type report = {
   rp_gets_pruned : float;
   rp_gets_cached : float;
   rp_cache : Obs_cache.stats;
-  rp_handle_ns : float;  (* single-domain ns per monitored request *)
+  rp_handle_ns : float;
+      (* single-domain ns per monitored request: the median of
+         [rp_handle_passes] *)
+  rp_handle_passes : float list;  (* each fresh-world pass, run order *)
   rp_latency : latency;  (* open-loop latency distribution *)
-  rp_eval : eval_comparison;  (* incremental vs full re-evaluation *)
   rp_get_locks_per_req : float;
       (* instrumented-lock acquisitions per request on a monitored
          GET-only stream — the contention gate's subject; the RCU store
@@ -346,7 +337,7 @@ let verdict_run spec ~domains =
       ( names (Array.to_list outcomes),
         Array.map names (Shard.outcomes_by_shard pool) )
 
-let run_handle_ns spec =
+let handle_pass spec =
   let world = setup spec in
   let reqs = workload spec world in
   match make_pool ~shards:spec.projects world (Cloud.handle world.cloud) with
@@ -357,6 +348,24 @@ let run_handle_ns spec =
     ignore (Shard.handle_all ~domains:1 pool reqs);
     let elapsed = now_ns () -. t0 in
     Ok (elapsed /. float_of_int n)
+
+(* One pass on a fresh world reads whatever the host's scheduler and
+   the GC happen to do during it; the median of several passes is what
+   the regression gate compares, and the passes themselves are reported
+   so the spread is visible. *)
+let handle_passes = 5
+
+let run_handle_ns spec =
+  let rec passes acc k =
+    if k = 0 then Ok (List.rev acc)
+    else
+      match handle_pass spec with
+      | Error msgs -> Error msgs
+      | Ok ns -> passes (ns :: acc) (k - 1)
+  in
+  Result.map
+    (fun ns -> (Cm_core.Stopwatch.percentile (Array.of_list ns) 50., ns))
+    (passes [] handle_passes)
 
 (* Resilience overhead, measured the same way the resilience benchmark
    section does but on the serve workload: the identical request stream
@@ -421,95 +430,6 @@ let run_open_loop spec ~rate_per_s =
         lat_max_ns = Array.fold_left Float.max 0. latencies
       }
 
-(* ---- incremental vs full re-evaluation ------------------------------- *)
-
-let run_eval_count spec eval =
-  let world = setup spec in
-  let reqs = workload spec world in
-  match make_pool ~eval ~shards:spec.projects world (Cloud.handle world.cloud)
-  with
-  | Error msgs -> Error msgs
-  | Ok pool ->
-    ignore (Shard.handle_all ~domains:1 pool reqs);
-    Ok (Shard.eval_stats pool, List.length reqs)
-
-(* One memoized-hit check, timed and allocation-audited: prepare the
-   paper's DELETE(volume) contract incrementally, observe once, then
-   re-check the (unchanged) precondition in a tight loop.  The loop body
-   is the monitor's replay path; the audit target is zero minor-heap
-   words per iteration. *)
-let measure_hit ?(checks = 200_000) () =
-  let module Runtime = Cm_contracts.Runtime in
-  let security =
-    { Cm_contracts.Generate.table = Cm_rbac.Security_table.cinder;
-      assignment = Cm_rbac.Security_table.cinder_assignment
-    }
-  in
-  let contract =
-    match
-      Cm_contracts.Generate.contract_for ~security Cm_uml.Cinder_model.behavior
-        { Cm_uml.Behavior_model.meth = Meth.DELETE; resource = "volume" }
-    with
-    | Ok c -> c
-    | Error msg -> failwith ("serve_bench: contract generation failed: " ^ msg)
-  in
-  let env =
-    Cm_ocl.Eval.env_of_bindings
-      [ ( "project",
-          Json.obj
-            [ ("id", Json.string "p");
-              ( "volumes",
-                Json.list
-                  [ Json.obj
-                      [ ("id", Json.string "v-0");
-                        ("status", Json.string "available")
-                      ]
-                  ] )
-            ] );
-        ("quota_sets", Json.obj [ ("volumes", Json.int 20) ]);
-        ("volume", Json.obj [ ("status", Json.string "available") ]);
-        ( "user",
-          Json.obj
-            [ ("groups", Json.list [ Json.string "proj_administrator" ]) ] )
-      ]
-  in
-  let prepared = Runtime.prepare ~eval:Runtime.Incremental contract in
-  let obs = Runtime.observe prepared env in
-  ignore (Runtime.check_pre_observed prepared obs);
-  (* warm *)
-  let words0 = Gc.minor_words () in
-  let t0 = now_ns () in
-  for _ = 1 to checks do
-    ignore (Sys.opaque_identity (Runtime.check_pre_observed prepared obs))
-  done;
-  let elapsed = now_ns () -. t0 in
-  let words = Gc.minor_words () -. words0 in
-  ( elapsed /. float_of_int checks,
-    Float.max 0. (words /. float_of_int checks) )
-
-let run_eval_comparison spec =
-  let ( let* ) = Result.bind in
-  let* full_stats, n = run_eval_count spec Cm_contracts.Runtime.Full_eval in
-  let* inc_stats, _ = run_eval_count spec Cm_contracts.Runtime.Incremental in
-  let per_req (s : Cm_contracts.Runtime.eval_stats) =
-    float_of_int s.evals /. float_of_int n
-  in
-  let hit_ns, hit_words = measure_hit () in
-  let node_total = inc_stats.node_hits + inc_stats.node_evals in
-  Ok
-    { ev_full_per_req = per_req full_stats;
-      ev_inc_per_req = per_req inc_stats;
-      ev_reduction =
-        (if inc_stats.evals = 0 then Float.infinity
-         else float_of_int full_stats.evals /. float_of_int inc_stats.evals);
-      ev_replays = inc_stats.replays;
-      ev_node_hit_rate =
-        (if node_total = 0 then 0.
-         else float_of_int inc_stats.node_hits /. float_of_int node_total);
-      ev_hit_ns = hit_ns;
-      ev_hit_minor_words = hit_words
-    }
-
 (* Speedup must compare parallel serving to serial serving, and only
    over points the host can actually parallelize: a point asking for
    more domains than the hardware has measures oversubscription, and
@@ -554,7 +474,7 @@ let run ?(spec = default_spec) ?(domains_list = [ 1; 2; 4 ]) ?rate
   let* gets_cached, cache_stats =
     run_gets spec ~footprint_pruning:true ~cache:Obs_cache.Cross_request
   in
-  let* handle_ns = run_handle_ns spec in
+  let* handle_ns, handle_passes = run_handle_ns spec in
   (* Self-calibrate the open-loop rate to ~70% of the closed-loop
      capacity unless the caller pins one: past capacity the queue only
      grows and every percentile is the makespan. *)
@@ -564,7 +484,6 @@ let run ?(spec = default_spec) ?(domains_list = [ 1; 2; 4 ]) ?rate
     | Some _ | None -> 0.7 *. (1e9 /. handle_ns)
   in
   let* latency = run_open_loop spec ~rate_per_s in
-  let* eval_cmp = run_eval_comparison spec in
   let* get_locks = run_get_locks spec in
   let verdicts_consistent =
     match scaling with
@@ -585,8 +504,8 @@ let run ?(spec = default_spec) ?(domains_list = [ 1; 2; 4 ]) ?rate
       rp_gets_cached = gets_cached;
       rp_cache = cache_stats;
       rp_handle_ns = handle_ns;
+      rp_handle_passes = handle_passes;
       rp_latency = latency;
-      rp_eval = eval_cmp;
       rp_get_locks_per_req = get_locks;
       rp_min_speedup = min_speedup;
       rp_lock_stats = Cm_core.Lockstat.by_name ()
@@ -692,8 +611,14 @@ let render report =
     report.rp_cache.Obs_cache.hits report.rp_cache.Obs_cache.misses
     report.rp_cache.Obs_cache.invalidated
     (100. *. Obs_cache.hit_rate report.rp_cache);
-  line "single-domain handle:           %.1f us/request"
-    (report.rp_handle_ns /. 1e3);
+  line
+    "single-domain handle:           %.1f us/request (median of %d \
+     fresh-world passes: %s us)"
+    (report.rp_handle_ns /. 1e3)
+    (List.length report.rp_handle_passes)
+    (String.concat ", "
+       (List.map (fun ns -> Printf.sprintf "%.1f" (ns /. 1e3))
+          report.rp_handle_passes));
   line "";
   line "lock acquisitions per monitored GET: %.4f (gate target 0: %s)"
     report.rp_get_locks_per_req
@@ -715,16 +640,6 @@ let render report =
   line "  p50 %.1f us   p95 %.1f us   p99 %.1f us   max %.1f us"
     (lt.lat_p50_ns /. 1e3) (lt.lat_p95_ns /. 1e3) (lt.lat_p99_ns /. 1e3)
     (lt.lat_max_ns /. 1e3);
-  line "";
-  let ev = report.rp_eval in
-  line "incremental evaluation (same workload, 1 domain):";
-  line "  contract evaluations/request: %.2f full -> %.2f incremental (%.1fx \
-        fewer)"
-    ev.ev_full_per_req ev.ev_inc_per_req ev.ev_reduction;
-  line "  memoized replays: %d; inner-node cache hit rate: %.0f%%"
-    ev.ev_replays (100. *. ev.ev_node_hit_rate);
-  line "  memoized-hit check: %.0f ns, %.2f minor words/check (target 0)"
-    ev.ev_hit_ns ev.ev_hit_minor_words;
   Buffer.contents buf
 
 let to_json report =
@@ -799,6 +714,8 @@ let to_json report =
             ("hit_rate", Json.float (Obs_cache.hit_rate report.rp_cache))
           ] );
       ("handle_ns_per_run", Json.float report.rp_handle_ns);
+      ( "handle_ns_passes",
+        Json.list (List.map Json.float report.rp_handle_passes) );
       ( "latency",
         let lt = report.rp_latency in
         Json.obj
@@ -809,17 +726,6 @@ let to_json report =
             ("p95_ns", Json.float lt.lat_p95_ns);
             ("p99_ns", Json.float lt.lat_p99_ns);
             ("max_ns", Json.float lt.lat_max_ns)
-          ] );
-      ( "incremental",
-        let ev = report.rp_eval in
-        Json.obj
-          [ ("evals_per_request_full", Json.float ev.ev_full_per_req);
-            ("evals_per_request_incremental", Json.float ev.ev_inc_per_req);
-            ("reeval_reduction", Json.float ev.ev_reduction);
-            ("replays", Json.int ev.ev_replays);
-            ("node_hit_rate", Json.float ev.ev_node_hit_rate);
-            ("hit_check_ns", Json.float ev.ev_hit_ns);
-            ("minor_words_per_check", Json.float ev.ev_hit_minor_words)
           ] )
     ]
 
@@ -851,19 +757,6 @@ let fastpath_handle_ns baseline =
   baseline_field baseline ~bench:"fastpath/cinder-handle-compiled"
     ~field:"ns_per_run"
 
-(* [measured] may not exceed [base] by more than the percentage, with a
-   small absolute [slack] so near-zero baselines (0 minor words) do not
-   turn measurement noise into failures. *)
-let gate ~what ~unit ~measured ~base ~max_regression_pct ~slack =
-  let limit = (base *. (1. +. (max_regression_pct /. 100.))) +. slack in
-  if measured > limit then
-    Error
-      (Printf.sprintf
-         "%s regression: %.2f %s exceeds %.2f %s (baseline %.2f %s + %.0f%% \
-          + %.2f slack)"
-         what measured unit limit unit base unit max_regression_pct slack)
-  else Ok ()
-
 (* The resilience gate is an absolute ceiling, not a relative one: the
    committed BENCH_resilience.json anchors what the overhead *was*, and
    the gate fails when the live measurement crosses [max_overhead_pct]
@@ -884,30 +777,15 @@ let check_resilience_baseline ~overhead_percent ~baseline ~max_overhead_pct =
        else Ok base)
 
 let check_against_baseline report ~baseline ~max_regression_pct =
-  let ( let* ) = Result.bind in
-  let* () =
-    match fastpath_handle_ns baseline with
-    | None ->
-      Error "baseline has no fastpath/cinder-handle-compiled ns_per_run entry"
-    | Some base_ns ->
-      gate ~what:"handle" ~unit:"ns/request" ~measured:report.rp_handle_ns
-        ~base:base_ns ~max_regression_pct ~slack:0.
-  in
-  (* The incremental rows only gate when the committed baseline has
-     them: older BENCH_fastpath.json documents predate the incremental
-     engine and must keep passing. *)
-  let inc = "incremental/memoized-hit-check" in
-  let* () =
-    match baseline_field baseline ~bench:inc ~field:"ns_per_run" with
-    | None -> Ok ()
-    | Some base_ns ->
-      gate ~what:"memoized-hit check" ~unit:"ns"
-        ~measured:report.rp_eval.ev_hit_ns ~base:base_ns ~max_regression_pct
-        ~slack:100.
-  in
-  match baseline_field baseline ~bench:inc ~field:"minor_words_per_check" with
-  | None -> Ok ()
-  | Some base_words ->
-    gate ~what:"memoized-hit allocation" ~unit:"minor words/check"
-      ~measured:report.rp_eval.ev_hit_minor_words ~base:base_words
-      ~max_regression_pct ~slack:2.
+  match fastpath_handle_ns baseline with
+  | None ->
+    Error "baseline has no fastpath/cinder-handle-compiled ns_per_run entry"
+  | Some base ->
+    let limit = base *. (1. +. (max_regression_pct /. 100.)) in
+    if report.rp_handle_ns > limit then
+      Error
+        (Printf.sprintf
+           "handle regression: %.2f ns/request exceeds %.2f ns/request \
+            (baseline %.2f ns/request + %.0f%%)"
+           report.rp_handle_ns limit base max_regression_pct)
+    else Ok ()

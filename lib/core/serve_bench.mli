@@ -59,18 +59,6 @@ type latency = {
     and latency is completion minus {e scheduled} arrival, so queueing
     delay is measured instead of throttling the offered load. *)
 
-type eval_comparison = {
-  ev_full_per_req : float;
-      (** contract evaluations per request under [Full_eval] *)
-  ev_inc_per_req : float;  (** same workload under [Incremental] *)
-  ev_reduction : float;  (** full/incremental — the >= 3x target *)
-  ev_replays : int;  (** memoized verdict replays, incremental run *)
-  ev_node_hit_rate : float;  (** inner connective cache hit rate *)
-  ev_hit_ns : float;  (** one memoized-hit precondition check *)
-  ev_hit_minor_words : float;
-      (** minor-heap words allocated per such check; target 0 *)
-}
-
 type report = {
   rp_projects : int;
   rp_requests_per_project : int;
@@ -91,9 +79,12 @@ type report = {
   rp_gets_pruned : float;  (** with footprint pruning *)
   rp_gets_cached : float;  (** pruning + cross-request cache *)
   rp_cache : Cm_monitor.Obs_cache.stats;
-  rp_handle_ns : float;  (** single-domain ns per monitored request *)
+  rp_handle_ns : float;
+      (** single-domain ns per monitored request: the median of
+          [rp_handle_passes] *)
+  rp_handle_passes : float list;
+      (** ns per request of each fresh-world pass, in run order *)
   rp_latency : latency;
-  rp_eval : eval_comparison;
   rp_get_locks_per_req : float;
       (** instrumented-lock acquisitions per request on a monitored
           GET-only stream — [global_lock_acquisitions_per_request] in
@@ -137,21 +128,12 @@ val run_open_loop : spec -> rate_per_s:float -> (latency, string list) result
     in arrival order).  Raises [Invalid_argument] when the rate is not
     positive. *)
 
-val run_eval_comparison : spec -> (eval_comparison, string list) result
-(** Replay the workload under [Full_eval] and [Incremental] and compare
-    evaluation counts; also runs the memoized-hit microbench. *)
-
 val run_resilience_overhead :
   ?spec:spec -> unit -> (float * float * float, string list) result
 (** [(off_ns, on_ns, overhead_percent)]: the per-request handle cost of
     the serve workload raw and through the default resilience layer,
     and the relative overhead.  The backend is latency-free, so the
     difference is the layer's pure bookkeeping cost. *)
-
-val measure_hit : ?checks:int -> unit -> float * float
-(** [(ns, minor_words)] per memoized-hit precondition check of the
-    paper's DELETE(volume) contract against an unchanged observed
-    state. *)
 
 val verdict_run :
   spec ->
@@ -182,11 +164,6 @@ val check_against_baseline :
   baseline:Cm_json.Json.t ->
   max_regression_pct:float ->
   (unit, string) result
-(** Compare [rp_handle_ns] against the
-    [fastpath/cinder-handle-compiled] entry of a BENCH_fastpath.json
-    document; when the document also carries an
-    [incremental/memoized-hit-check] row, additionally gate the
-    memoized-hit check latency ([ns_per_run], +100 ns absolute slack)
-    and its allocation rate ([minor_words_per_check], +2 words slack)
-    at the same percentage.  Baselines without incremental rows skip
-    those gates (back-compatible). *)
+(** Gate [rp_handle_ns] (a median of fresh-world passes) at
+    [max_regression_pct] above the [fastpath/cinder-handle-compiled]
+    entry of a BENCH_fastpath.json document. *)

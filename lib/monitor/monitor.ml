@@ -38,8 +38,6 @@ type config = {
   mode : mode;
   strategy : Runtime.strategy;
   engine : Runtime.engine;
-  eval : Runtime.eval_mode;
-  trust_path_delta : bool;
   service_token : string;
   service_token_for : (string -> string option) option;
   resources : Resource_model.t;
@@ -64,16 +62,14 @@ type config = {
 }
 
 let default_config ?(mode = Oracle) ?(strategy = Cm_contracts.Runtime.Lean)
-    ?(engine = Cm_contracts.Runtime.Compiled)
-    ?(eval = Cm_contracts.Runtime.Incremental) ?(trust_path_delta = false)
-    ?(stability_check = false) ?resilience ?(degradation = Fail_open_logged)
-    ?clock ?(footprint_pruning = true) ?(cache = Obs_cache.Per_request)
+    ?(engine = Cm_contracts.Runtime.Compiled) ?(stability_check = false)
+    ?resilience ?(degradation = Fail_open_logged) ?clock
+    ?(footprint_pruning = true) ?(cache = Obs_cache.Per_request)
     ?(timings = false) ?journal_pre ?journal_barrier ?crash ~service_token
     ?service_token_for ?security resources behavior =
-  { mode; strategy; engine; eval; trust_path_delta; service_token;
-    service_token_for; resources; behavior; security; stability_check;
-    resilience; degradation; clock; footprint_pruning; cache; timings;
-    journal_pre; journal_barrier; crash
+  { mode; strategy; engine; service_token; service_token_for; resources;
+    behavior; security; stability_check; resilience; degradation; clock;
+    footprint_pruning; cache; timings; journal_pre; journal_barrier; crash
   }
 
 type t = {
@@ -104,9 +100,6 @@ type t = {
       (* path entries derived once; per request this is re-targeted with
          [with_project] (a cheap record copy) instead of re-deriving *)
   cache : Obs_cache.t option;
-  delta : Delta.t option;  (* touched-path generations (incremental mode) *)
-  delta_seen : (Behavior_model.trigger, int) Hashtbl.t;
-      (* per contract: the delta generation its frame last synced at *)
   stopwatch : Cm_core.Stopwatch.source option;
   mutable lock_base : int;
       (* instrumented-lock acquisition total at the top of [handle];
@@ -126,22 +119,13 @@ let resilience t = t.resilient
 let cache_stats t = Option.map Obs_cache.stats t.cache
 
 let eval_stats t =
-  List.fold_left
-    (fun (acc : Runtime.eval_stats) (_, p) ->
-      let s = Runtime.eval_stats p in
-      { Runtime.evals = acc.evals + s.Runtime.evals;
-        replays = acc.replays + s.replays;
-        node_hits = acc.node_hits + s.node_hits;
-        node_evals = acc.node_evals + s.node_evals;
-        refreshes = acc.refreshes + s.refreshes;
-        slots_changed = acc.slots_changed + s.slots_changed
-      })
-    { Runtime.evals = 0; replays = 0; node_hits = 0; node_evals = 0;
-      refreshes = 0; slots_changed = 0
-    }
-    t.prepared
+  { Runtime.evals =
+      List.fold_left
+        (fun acc (_, p) -> acc + (Runtime.eval_stats p).Runtime.evals)
+        0 t.prepared;
+    replays = 0
+  }
 
-let delta_stats t = Option.map Delta.stats t.delta
 let flush_cache t = Option.iter Obs_cache.clear t.cache
 let uri_table t = t.entries
 let configuration t = t.config
@@ -266,7 +250,7 @@ let create config backend =
                (fun c ->
                  ( c.Contract.trigger,
                    Runtime.prepare ~strategy:config.strategy
-                     ~engine:config.engine ~eval:config.eval
+                     ~engine:config.engine
                      ?subscription:(subscription_for c) c ))
                contract_list
            in
@@ -304,14 +288,6 @@ let create config backend =
                ~project_id:"" entries
              |> fun o -> Observer.with_cache o cache
            in
-           let delta =
-             if config.eval = Cm_contracts.Runtime.Incremental then
-               Some
-                 (Delta.create
-                    ~context:(Observer.context_def observer_base)
-                    entries)
-             else None
-           in
            let stopwatch =
              if not config.timings then None
              else
@@ -334,8 +310,6 @@ let create config backend =
                write_templates;
                observer_base;
                cache;
-               delta;
-               delta_seen = Hashtbl.create 16;
                stopwatch;
                lock_base = 0;
                ph_observe_pre = 0.;
@@ -711,7 +685,8 @@ let write_scopes t (req : Request.t) =
             (List.filter_map (expand_scope bindings) templates)))
 
 let invalidate_after_mutation t (req : Request.t) =
-  if not (Meth.is_safe req.Request.meth) then begin
+  match t.cache with
+  | Some cache when not (Meth.is_safe req.Request.meth) ->
     let paths =
       match write_scopes t req with
       | Some (_ :: _ as scopes) ->
@@ -728,17 +703,8 @@ let invalidate_after_mutation t (req : Request.t) =
           | None -> req.Request.path)
         ]
     in
-    List.iter
-      (fun path ->
-        Option.iter
-          (fun cache -> Obs_cache.invalidate_overlapping cache path)
-          t.cache;
-        (* the same write-set feeds the touched-path generations the
-           incremental engine uses (stats always; root-skipping only
-           when [trust_path_delta]) *)
-        Option.iter (fun delta -> Delta.note delta path) t.delta)
-      paths
-  end
+    List.iter (Obs_cache.invalidate_overlapping cache) paths
+  | _ -> ()
 
 let forward t req =
   (* WAL barrier: before the backend can see the request, the journal
@@ -1113,30 +1079,8 @@ let monitored t classified prepared req =
   let make_env =
     observe_env ?request_body:req.Request.body t classified prepared
   in
-  (* Trusted-delta mode: roots no mutation's template overlapped since
-     this contract's frame last synced are skipped without diffing.
-     [seen] is captured once — the forward in between bumps the
-     generation, so the post-observation still re-syncs everything the
-     mutation touched. *)
-  let changed =
-    match t.delta with
-    | Some d when t.config.trust_path_delta ->
-      let seen =
-        Option.value ~default:(-1)
-          (Hashtbl.find_opt t.delta_seen classified.trigger)
-      in
-      Some (fun root -> Delta.changed_since d ~seen root)
-    | _ -> None
-  in
   let observe_now () =
-    let obs =
-      Runtime.observe ?changed prepared (make_env ~fresh:false ~user_token)
-    in
-    Option.iter
-      (fun d ->
-        Hashtbl.replace t.delta_seen classified.trigger (Delta.generation d))
-      t.delta;
-    obs
+    Runtime.observe prepared (make_env ~fresh:false ~user_token)
   in
   let pre_obs = timed t `Observe_pre observe_now in
   let contract = Runtime.contract prepared in

@@ -60,21 +60,6 @@ type config = {
           closures; [Interpreted] walks the AST on every check.  Both
           produce identical verdicts — the interpreter remains as the
           executable semantics and benchmark baseline. *)
-  eval : Cm_contracts.Runtime.eval_mode;
-      (** [Incremental] (the default, effective with [Compiled]) keeps
-          one persistent frame per contract, diffs re-observed values in
-          and replays memoized verdicts when nothing a check depends on
-          changed.  Verdict-equivalent to [Full_eval]: the diff is over
-          observed {e values}, never trusted path deltas (see
-          [trust_path_delta]). *)
-  trust_path_delta : bool;
-      (** Trust the {!Delta} touched-path analysis: roots whose
-          templates no forwarded mutation overlapped since a contract's
-          last observation are skipped without even value-diffing them.
-          Saves the per-root diff, but assumes mutations only become
-          visible through the monitor (stale or out-of-band reads may
-          then be replayed) — off by default; the value diff alone
-          already gives memoized replays. *)
   service_token : string;  (** the monitor's own cloud credentials *)
   service_token_for : (string -> string option) option;
       (** Per-project service credentials: clouds scope tokens to one
@@ -143,8 +128,6 @@ val default_config :
   ?mode:mode ->
   ?strategy:Cm_contracts.Runtime.strategy ->
   ?engine:Cm_contracts.Runtime.engine ->
-  ?eval:Cm_contracts.Runtime.eval_mode ->
-  ?trust_path_delta:bool ->
   ?stability_check:bool ->
   ?resilience:Resilience.policy ->
   ?degradation:degradation ->
@@ -162,7 +145,7 @@ val default_config :
   Cm_uml.Behavior_model.t ->
   config
 (** Defaults: [Oracle] mode, [Lean] snapshots, [Compiled] engine,
-    [Incremental] evaluation with untrusted deltas, no stability check,
+    no stability check,
     no resilience layer, [Fail_open_logged], footprint pruning on,
     [Per_request] observation cache, timings off. *)
 
@@ -199,11 +182,8 @@ val cache_stats : t -> Obs_cache.stats option
     is enabled. *)
 
 val eval_stats : t -> Cm_contracts.Runtime.eval_stats
-(** Aggregated incremental-evaluation counters over every prepared
-    contract (zeros under [Full_eval] except [evals]). *)
-
-val delta_stats : t -> Delta.stats option
-(** Touched-path bookkeeping; [None] unless running incrementally. *)
+(** Contract evaluations summed over every prepared contract
+    ([replays] is always 0). *)
 
 val flush_cache : t -> unit
 (** Drop all cached observations.  Out-of-band writers (anything that

@@ -85,7 +85,6 @@ val with_footprint : t -> Cm_ocl.Footprint.t option -> t
 val with_cache : t -> Obs_cache.t option -> t
 
 val project_id : t -> string
-val context_def : t -> string
 
 val observe :
   ?fresh:bool ->

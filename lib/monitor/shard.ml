@@ -7,10 +7,10 @@ type t = {
          analysis prove the request's event tenant-keyed?  [false] marks
          traffic whose verdicts may couple shards (identity writes,
          unmodelled paths). *)
-  shard_memo : (string, int) Hashtbl.t;
+  shard_index : (string, int) Hashtbl.t;
       (* project id -> shard index.  Admission-side only: partitioning
          and [shard_of] run on the caller's domain before any fan-out,
-         so the memo needs no lock. *)
+         so the table needs no lock. *)
 }
 
 let create ?(shards = 1) config backend =
@@ -26,7 +26,7 @@ let create ?(shards = 1) config backend =
           { monitors = Array.of_list (List.rev acc);
             project_of;
             tenant_keyed;
-            shard_memo = Hashtbl.create 64
+            shard_index = Hashtbl.create 64
           }
       else
         match Monitor.create config backend with
@@ -49,14 +49,14 @@ let fnv1a s =
   !h
 
 (* Callers that already classified the request (or carry the tenant in
-   hand) skip re-extraction; the hash itself is memoized because the
-   same few project ids arrive millions of times. *)
+   hand) skip re-extraction; the hash itself is cached per project id
+   because the same few project ids arrive millions of times. *)
 let shard_of_project t project =
-  match Hashtbl.find_opt t.shard_memo project with
+  match Hashtbl.find_opt t.shard_index project with
   | Some s -> s
   | None ->
     let s = fnv1a project mod Array.length t.monitors in
-    Hashtbl.add t.shard_memo project s;
+    Hashtbl.add t.shard_index project s;
     s
 
 let shard_of t req =
@@ -114,25 +114,11 @@ let cache_stats t =
     t.monitors
 
 let eval_stats t =
-  Array.fold_left
-    (fun acc m ->
-      let s = Monitor.eval_stats m in
-      Cm_contracts.Runtime.
-        { evals = acc.evals + s.evals;
-          replays = acc.replays + s.replays;
-          node_hits = acc.node_hits + s.node_hits;
-          node_evals = acc.node_evals + s.node_evals;
-          refreshes = acc.refreshes + s.refreshes;
-          slots_changed = acc.slots_changed + s.slots_changed
-        })
-    Cm_contracts.Runtime.
-      { evals = 0;
-        replays = 0;
-        node_hits = 0;
-        node_evals = 0;
-        refreshes = 0;
-        slots_changed = 0
-      }
-    t.monitors
+  { Cm_contracts.Runtime.evals =
+      Array.fold_left
+        (fun acc m -> acc + (Monitor.eval_stats m).Cm_contracts.Runtime.evals)
+        0 t.monitors;
+    replays = 0
+  }
 
 let flush_caches t = Array.iter Monitor.flush_cache t.monitors

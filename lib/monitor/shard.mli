@@ -37,11 +37,11 @@ val shard_of : t -> Cm_http.Request.t -> int
     classified project id modulo {!shards}; [0] when classification
     binds no project.  Classification uses a config-derived extractor —
     no monitor replica (in particular not shard 0's) is involved — and
-    the hash is memoized per project id.  Admission-side only: call it
+    the hash is cached per project id.  Admission-side only: call it
     from the dispatching domain, before fan-out. *)
 
 val shard_of_project : t -> string -> int
-(** The shard owning a project id (same memoized hash {!shard_of}
+(** The shard owning a project id (same cached hash {!shard_of}
     uses), for callers that already classified the request. *)
 
 val tenant_keyed : t -> Cm_http.Request.t -> bool
@@ -77,8 +77,8 @@ val cache_stats : t -> Obs_cache.stats
     disabled). *)
 
 val eval_stats : t -> Cm_contracts.Runtime.eval_stats
-(** Pool-wide incremental-evaluation counters, summed over every
-    replica's prepared contracts. *)
+(** Pool-wide contract evaluations, summed over every replica's
+    prepared contracts ([replays] is always 0). *)
 
 val flush_caches : t -> unit
 (** {!Monitor.flush_cache} on every replica — required after any

@@ -39,9 +39,9 @@ let run_one mutant =
     ~setup:(fun ~faults () -> Scenario.setup ~faults ())
     ~workload:Scenario.standard mutant
 
-let run_cross_one ?eval mutant =
+let run_cross_one mutant =
   run_one_with
-    ~setup:(fun ~faults () -> Scenario.setup_cross ?eval ~faults ())
+    ~setup:(fun ~faults () -> Scenario.setup_cross ~faults ())
     ~workload:Scenario.cross mutant
 
 let sequence results =
@@ -60,9 +60,9 @@ let run ?(domains = 1) mutants =
     (Cm_core.Domain_pool.map_list ~domains run_one
        (None :: List.map (fun m -> Some m) mutants))
 
-let run_cross ?(domains = 1) ?eval mutants =
+let run_cross ?(domains = 1) mutants =
   sequence
-    (Cm_core.Domain_pool.map_list ~domains (run_cross_one ?eval)
+    (Cm_core.Domain_pool.map_list ~domains run_cross_one
        (None :: List.map (fun m -> Some m) mutants))
 
 let kill_matrix results =

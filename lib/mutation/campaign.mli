@@ -17,13 +17,9 @@ type result = {
 val run_one : Mutant.t option -> (result, string list) Stdlib.result
 (** Fresh cloud + monitor, standard workload, collect. *)
 
-val run_cross_one :
-  ?eval:Cm_contracts.Runtime.eval_mode ->
-  Mutant.t option ->
-  (result, string list) Stdlib.result
+val run_cross_one : Mutant.t option -> (result, string list) Stdlib.result
 (** Fresh cloud + cross-service monitor ({!Scenario.setup_cross}),
-    cross workload, collect.  [eval] selects full or incremental
-    contract evaluation so the kill matrix can be checked under both. *)
+    cross workload, collect. *)
 
 val run : ?domains:int -> Mutant.t list -> (result list, string list) Stdlib.result
 (** Baseline first (it must be violation-free), then each mutant.
@@ -33,7 +29,6 @@ val run : ?domains:int -> Mutant.t list -> (result list, string list) Stdlib.res
 
 val run_cross :
   ?domains:int ->
-  ?eval:Cm_contracts.Runtime.eval_mode ->
   Mutant.t list ->
   (result list, string list) Stdlib.result
 (** The cross-service campaign: baseline + each mutant under the cross

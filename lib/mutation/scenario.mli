@@ -24,7 +24,6 @@ val setup :
   ?mode:Cm_monitor.Monitor.mode ->
   ?strategy:Cm_contracts.Runtime.strategy ->
   ?engine:Cm_contracts.Runtime.engine ->
-  ?eval:Cm_contracts.Runtime.eval_mode ->
   ?faults:Cm_cloudsim.Faults.set ->
   ?chaos:Cm_cloudsim.Chaos.profile ->
   ?chaos_seed:int ->
@@ -51,7 +50,6 @@ val setup_cross :
   ?mode:Cm_monitor.Monitor.mode ->
   ?strategy:Cm_contracts.Runtime.strategy ->
   ?engine:Cm_contracts.Runtime.engine ->
-  ?eval:Cm_contracts.Runtime.eval_mode ->
   ?faults:Cm_cloudsim.Faults.set ->
   ?chaos:Cm_cloudsim.Chaos.profile ->
   ?chaos_seed:int ->
@@ -124,7 +122,7 @@ type jctx = {
 val setup_journaled :
   ?cross:bool ->
   ?mode:Cm_monitor.Monitor.mode ->
-  ?eval:Cm_contracts.Runtime.eval_mode ->
+  ?engine:Cm_contracts.Runtime.engine ->
   ?faults:Cm_cloudsim.Faults.set ->
   ?chaos:Cm_cloudsim.Chaos.profile ->
   ?chaos_seed:int ->
@@ -159,11 +157,12 @@ val journal_events : jctx -> Cm_journal.Event.t list
 val replay_journal :
   ?cross:bool ->
   ?mode:Cm_monitor.Monitor.mode ->
-  ?eval:Cm_contracts.Runtime.eval_mode ->
+  ?engine:Cm_contracts.Runtime.engine ->
   Cm_journal.Event.t list ->
-  (string list, string list) result
+  (Cm_journal.Jmonitor.t, string list) result
 (** Re-execute a recorded journal against a {e fresh} same-seed cloud:
     requests verbatim (tokens and ids are deterministic), marks
-    re-performed out-of-band.  Returns the replayed verdict lines,
-    which must be bit-identical to
+    re-performed out-of-band.  Returns the synced replaying monitor:
+    under the recording's engine its
+    [Cm_journal.Jmonitor.verdict_lines] must be bit-identical to
     [Cm_journal.Jmonitor.journaled_verdict_lines] of the recording. *)

@@ -19,20 +19,7 @@
       during iteration instead of allocating extended environments.
 
     Verdict-equivalence with {!Eval} over every generated contract is
-    asserted by [test/test_compile.ml].
-
-    {2 Incremental evaluation}
-
-    A plan created with [~memoize:true] additionally wraps every pure
-    [and]/[or]/[implies] node (and each compiled root) in an
-    epoch-stamped cache.  A {!memo} tracks, per slot, the epoch at which
-    its value last changed; a node whose dependency slots are all
-    unchanged since its last evaluation replays its cached verdict
-    without recomputing and without allocating.  {!refresh} diffs a
-    persistent frame against a new environment ({!Value.same}), bumping
-    epochs only for slots that actually changed — so a request that
-    touched nothing a contract reads costs a handful of integer
-    comparisons. *)
+    asserted by [test/test_compile.ml]. *)
 
 type plan
 (** A slot layout shared by a family of compiled expressions (one plan
@@ -41,9 +28,7 @@ type plan
     created {e after} every expression of the family has been
     compiled. *)
 
-val plan : ?memoize:bool -> unit -> plan
-(** [memoize] (default [false]) enables per-node epoch-stamped caches;
-    they only activate on frames carrying a {!memo}. *)
+val plan : unit -> plan
 
 val plan_vars : plan -> string list
 (** Free context variables with slots, in first-allocation order. *)
@@ -67,14 +52,7 @@ val frame_of_bindings : plan -> (string * Cm_json.Json.t) list -> frame
 
 val with_pre : pre:frame -> frame -> frame
 (** Attach a pre-state frame (mirrors {!Eval.with_pre}, including the
-    idempotence of [pre(...)] inside the pre-state itself).  The
-    attached pre copy drops any memo — node caches are keyed by the
-    post-state frame. *)
-
-val copy_frame : frame -> frame
-(** Detached snapshot of the frame's current slot values (no pre, no
-    memo).  Used by the Full snapshot strategy when the source frame is
-    refreshed in place between requests. *)
+    idempotence of [pre(...)] inside the pre-state itself). *)
 
 val write_slot : frame -> int -> Value.t -> unit
 val read_slot : frame -> int -> Value.t
@@ -88,70 +66,6 @@ val compile : plan -> Ast.expr -> t
 
 val compile_raw : plan -> Ast.expr -> t
 (** Stage without the simplification pass (differential-testing hook). *)
-
-(** {2 Incremental evaluation} *)
-
-type memo
-(** Per-plan change-tracking state: slot versions, node caches, and
-    hit/eval counters.  Single-threaded — one memo per monitor shard. *)
-
-val make_memo : plan -> memo
-(** Create after {e all} expressions of the plan are compiled (slot and
-    node counts must be final). *)
-
-val memo_frame : plan -> memo -> frame
-(** A persistent frame bound to [memo], refreshed in place between
-    requests instead of re-allocated per observation.  Slots start
-    [Undef] at epoch 0. *)
-
-type tracked = private {
-  run : t;
-  const : bool;
-  node : int;
-  mask : int;
-  impure : bool;
-}
-(** A compiled expression plus its dependency summary: enough to ask,
-    before running it, whether a memoized verdict can be replayed. *)
-
-val compile_tracked : plan -> Ast.expr -> tracked
-
-val strict_disjunction : plan -> tracked list -> tracked
-(** Non-short-circuiting Kleene disjunction over compiled disjuncts —
-    bit-identical to the staged short-circuiting [or] chain ([tri_or]
-    is total and True-absorbing) but evaluates {e every} disjunct, so
-    one evaluation stamps each disjunct's memo node for replay by later
-    checks of the same observation.  The empty list is [False]; a
-    singleton is returned unchanged. *)
-
-val refresh : plan -> memo -> frame -> Eval.env -> sync:(string -> bool) -> int
-(** Sync the frame's free slots from the environment, diffing with
-    {!Value.same}; only actual changes bump the epoch and slot
-    versions.  [sync name = false] skips that free entirely (snapshot
-    slots; roots a trusted delta proves untouched).  Returns the number
-    of changed slots.  Allocation-free when nothing changed. *)
-
-val write_slot_versioned : frame -> int -> Value.t -> unit
-(** {!write_slot} that diffs first and bumps the slot's version on real
-    changes — keeps post-condition memos valid across requests whose
-    snapshots are identical.  Plain write on frames without a memo. *)
-
-val cached : memo -> tracked -> bool
-(** Can this expression replay a cached value without evaluating?
-    (Constant, or its root node's dependencies are all clean.) *)
-
-val cached_value : memo -> tracked -> Value.t
-(** Only meaningful when {!cached} just returned [true]. *)
-
-val deps_clean : memo -> mask:int -> stamp:int -> bool
-(** Were none of the slots in [mask] changed after [stamp]?  Exposed so
-    runtimes can validate their own derived caches (snapshot values,
-    covered-requirement lists) against the same version vector. *)
-
-val epoch : memo -> int
-val memo_hits : memo -> int
-val memo_evals : memo -> int
-val node_count : plan -> int
 
 val eval : t -> frame -> Value.t
 val check : t -> frame -> Value.tribool

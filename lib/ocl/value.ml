@@ -28,17 +28,6 @@ let equal_value a b =
   | Undef, _ | _, Undef -> Unknown
   | Json x, Json y -> if Json.equal x y then True else False
 
-(* Change detection for the incremental engine: physical equality first
-   (re-observed documents are usually the same boxed value when nothing
-   mutated), deep JSON equality as the ground truth. *)
-let same a b =
-  a == b
-  ||
-  match a, b with
-  | Undef, Undef -> true
-  | Json x, Json y -> x == y || Json.equal x y
-  | Undef, Json _ | Json _, Undef -> false
-
 let compare_order a b =
   match a, b with
   | Json (Json.Int x), Json (Json.Int y) -> Some (Int.compare x y)

@@ -38,12 +38,6 @@ val as_collection : t -> t list
 val equal_value : t -> t -> tribool
 (** Structural equality; [Unknown] when either side is [Undef]. *)
 
-val same : t -> t -> bool
-(** Change detection for the incremental engine: [true] iff the two
-    values are observably identical ([Undef] = [Undef], deep JSON
-    equality otherwise).  Unlike {!equal_value} this is two-valued —
-    [Undef] is treated as a concrete state, not an unknown. *)
-
 val compare_order : t -> t -> int option
 (** Ordering for [<] etc.: defined for two numbers or two strings
     ([None] otherwise, which evaluates to [Unknown]). *)

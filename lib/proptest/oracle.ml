@@ -428,6 +428,20 @@ let outcome_key (o : Outcome.t) =
     (verdict_key o.post_verdict)
     (String.concat "," o.covered_requirements)
 
+(* The first position where two sequences of outcome keys or verdict
+   lines disagree, named after the two runs that produced them. *)
+let first_diff ~left ~right a b =
+  let rec go n a b =
+    match a, b with
+    | x :: a', y :: b' ->
+      if x = y then go (n + 1) a' b'
+      else Fmt.str "exchange %d: %s [%s] vs %s [%s]" n left x right y
+    | [], y :: _ -> Fmt.str "exchange %d only under %s: [%s]" n right y
+    | x :: _, [] -> Fmt.str "exchange %d only under %s: [%s]" n left x
+    | [], [] -> "lengths differ"
+  in
+  go 0 a b
+
 let has_violation outcomes =
   List.exists (fun (o : Outcome.t) -> Outcome.is_violation o.conformance) outcomes
 
@@ -446,17 +460,10 @@ let monitor_check ~index ~mutant trace =
     let out_c = Trace_gen.run ctx_c trace in
     let keys_i = List.map outcome_key out_i in
     let keys_c = List.map outcome_key out_c in
-    if keys_i <> keys_c then begin
-      let rec first_diff n a b =
-        match a, b with
-        | x :: a', y :: b' -> if x = y then first_diff (n + 1) a' b' else
-            Fmt.str "exchange %d: interpreted [%s] vs compiled [%s]" n x y
-        | [], y :: _ -> Fmt.str "exchange %d only under compiled: [%s]" n y
-        | x :: _, [] -> Fmt.str "exchange %d only under interpreted: [%s]" n x
-        | [], [] -> "lengths differ"
-      in
-      Some ("engine verdicts diverge at " ^ first_diff 0 keys_i keys_c)
-    end
+    if keys_i <> keys_c then
+      Some
+        ("engine verdicts diverge at "
+        ^ first_diff ~left:"interpreted" ~right:"compiled" keys_i keys_c)
     else if has_violation out_c then
       Some "violation raised on the fault-free cloud"
     else begin
@@ -633,135 +640,16 @@ let chaos_replay (entry : Corpus.entry) =
 let chaos =
   { name = "chaos"; weight = 1; run_case = chaos_run; replay = chaos_replay }
 
-(* ---- incremental vs full evaluation ---- *)
-
-(* The delta-driven engine must be observationally identical to full
-   re-evaluation.  Both sides run the compiled engine, so unlike the
-   engine oracle no hint normalization is applied: status, the full
-   conformance string (payload included), both verdicts and the covered
-   requirement set must agree bit-for-bit at every exchange.  A mutant
-   killed under full evaluation must stay killed under incremental. *)
-let strict_outcome_key (o : Outcome.t) =
-  Fmt.str "%d|%s|%s|%s|%s" o.response.Cm_http.Response.status
-    (Outcome.conformance_to_string o.conformance)
-    (verdict_key o.pre_verdict)
-    (verdict_key o.post_verdict)
-    (String.concat "," o.covered_requirements)
-
-let incremental_check ~mutant trace =
-  match
-    ( Scenario.setup ~eval:Runtime.Full_eval (),
-      Scenario.setup ~eval:Runtime.Incremental () )
-  with
-  | Error msgs, _ | _, Error msgs ->
-    Some ("incremental setup failed: " ^ String.concat "; " msgs)
-  | Ok ctx_full, Ok ctx_inc ->
-    let out_full = Trace_gen.run ctx_full trace in
-    let out_inc = Trace_gen.run ctx_inc trace in
-    let keys_full = List.map strict_outcome_key out_full in
-    let keys_inc = List.map strict_outcome_key out_inc in
-    if keys_full <> keys_inc then begin
-      let rec first_diff n a b =
-        match a, b with
-        | x :: a', y :: b' ->
-          if x = y then first_diff (n + 1) a' b'
-          else Fmt.str "exchange %d: full [%s] vs incremental [%s]" n x y
-        | [], y :: _ -> Fmt.str "exchange %d only under incremental: [%s]" n y
-        | x :: _, [] -> Fmt.str "exchange %d only under full: [%s]" n x
-        | [], [] -> "lengths differ"
-      in
-      Some ("eval modes diverge at " ^ first_diff 0 keys_full keys_inc)
-    end
-    else begin
-      match
-        Scenario.setup ~eval:Runtime.Incremental ~faults:mutant.Mutant.faults
-          ()
-      with
-      | Error msgs -> Some ("mutant setup failed: " ^ String.concat "; " msgs)
-      | Ok ctx_m ->
-        if has_violation (Trace_gen.run ctx_m trace) then None
-        else
-          Some
-            ("mutant " ^ mutant.Mutant.name
-           ^ " survived the trace under incremental evaluation")
-    end
-
-let incremental_run ~shrink ~seed ~index ~size =
-  let rng_noise, rng_probe = case_streams ~seed index in
-  let mutants = Mutant.all in
-  let mutant = List.nth mutants (index mod List.length mutants) in
-  let noise = Trace_gen.gen_noise rng_noise ~size:(monitor_noise_size size) in
-  let tail =
-    { Trace_gen.user = "alice"; op = Trace_gen.Drain }
-    :: Trace_gen.probe_for mutant.Mutant.name rng_probe
-  in
-  let fails noise = incremental_check ~mutant (noise @ tail) in
-  match fails noise with
-  | None -> Pass
-  | Some detail0 ->
-    let shrunk, steps =
-      if shrink then
-        Shrink.minimize ~budget:30 ~candidates:Shrink.shrink_list
-          ~still_fails:(fun n -> fails n <> None)
-          noise
-      else (noise, 0)
-    in
-    let detail = Option.value ~default:detail0 (fails shrunk) in
-    let trace = shrunk @ tail in
-    Fail
-      { oracle = "incremental"; index; detail; shrink_steps = steps;
-        repr = Fmt.str "%s vs %s" mutant.Mutant.name (Trace_gen.to_string trace);
-        entry =
-          Corpus.make ~oracle:"incremental" ~seed ~index ~size
-            [ ("mutant", mutant.Mutant.name);
-              ("trace", Trace_gen.to_string trace)
-            ]
-      }
-
-let incremental_replay (entry : Corpus.entry) =
-  let mutant_name =
-    match List.assoc_opt "mutant" entry.payload with
-    | Some name -> name
-    | None ->
-      (List.nth Mutant.all (entry.index mod List.length Mutant.all)).Mutant.name
-  in
-  match Mutant.find mutant_name with
-  | None -> Error ("unknown mutant " ^ mutant_name)
-  | Some mutant ->
-    let trace_result =
-      match List.assoc_opt "trace" entry.payload with
-      | Some text -> Trace_gen.of_string text
-      | None ->
-        let rng_noise, rng_probe = case_streams ~seed:entry.seed entry.index in
-        let noise =
-          Trace_gen.gen_noise rng_noise ~size:(monitor_noise_size entry.size)
-        in
-        Ok
-          (noise
-          @ ({ Trace_gen.user = "alice"; op = Trace_gen.Drain }
-            :: Trace_gen.probe_for mutant.Mutant.name rng_probe))
-    in
-    (match trace_result with
-     | Error msg -> Error ("corpus trace does not parse: " ^ msg)
-     | Ok trace ->
-       (match incremental_check ~mutant trace with
-        | None -> Ok ()
-        | Some detail -> Error detail))
-
-let incremental =
-  { name = "incremental"; weight = 2; run_case = incremental_run;
-    replay = incremental_replay
-  }
-
 (* ---- workload DSL ---- *)
 
 (* Two halves.  Determinism: compiling the same (mix, seed) twice must
    yield bit-identical traces — the DSL draws only from its own
    splitmix stream, never from hidden global state.  Agreement:
    executing the compiled trace against the cross-service monitor must
-   produce the same strict outcome sequence under full and incremental
-   evaluation, and the baseline (no mutant) must stay violation-free:
-   every denial a mix provokes is one the cloud also refuses. *)
+   produce the same (hint-normalized) outcome sequence under the
+   compiled engine and the interpreted reference, and the baseline (no
+   mutant) must stay violation-free: every denial a mix provokes is one
+   the cloud also refuses. *)
 
 module Workload = Cm_workload.Workload
 
@@ -797,40 +685,24 @@ let workload_check ~mix_name ~wl_seed ~steps =
            wl_seed)
     else (
       match
-        ( Scenario.setup_cross ~eval:Runtime.Full_eval (),
-          Scenario.setup_cross ~eval:Runtime.Incremental () )
+        ( Scenario.setup_cross ~engine:Runtime.Interpreted (),
+          Scenario.setup_cross ~engine:Runtime.Compiled () )
       with
       | Error msgs, _ | _, Error msgs ->
         Some ("workload setup failed: " ^ String.concat "; " msgs)
-      | Ok ctx_full, Ok ctx_inc ->
-        let _ = Scenario.run_trace ctx_full trace in
-        let _ = Scenario.run_trace ctx_inc trace in
-        let keys ctx =
-          List.map strict_outcome_key
-            (Cm_monitor.Monitor.outcomes ctx.Scenario.monitor)
-        in
-        let keys_full = keys ctx_full and keys_inc = keys ctx_inc in
-        if keys_full <> keys_inc then (
-          let rec first_diff n a b =
-            match a, b with
-            | x :: a', y :: b' ->
-              if x = y then first_diff (n + 1) a' b'
-              else
-                Fmt.str "exchange %d: full [%s] vs incremental [%s]" n x y
-            | [], y :: _ ->
-              Fmt.str "exchange %d only under incremental: [%s]" n y
-            | x :: _, [] -> Fmt.str "exchange %d only under full: [%s]" n x
-            | [], [] -> "lengths differ"
-          in
+      | Ok ctx_i, Ok ctx_c ->
+        let _ = Scenario.run_trace ctx_i trace in
+        let _ = Scenario.run_trace ctx_c trace in
+        let outcomes ctx = Cm_monitor.Monitor.outcomes ctx.Scenario.monitor in
+        let keys ctx = List.map outcome_key (outcomes ctx) in
+        let keys_i = keys ctx_i and keys_c = keys ctx_c in
+        if keys_i <> keys_c then
           Some
-            (Fmt.str "mix %s seed %d: eval modes diverge at %s" mix_name
+            (Fmt.str "mix %s seed %d: engine verdicts diverge at %s" mix_name
                wl_seed
-               (first_diff 0 keys_full keys_inc)))
+               (first_diff ~left:"interpreted" ~right:"compiled" keys_i keys_c))
         else (
-          match
-            Cm_monitor.Report.violations
-              (Cm_monitor.Monitor.outcomes ctx_full.Scenario.monitor)
-          with
+          match Cm_monitor.Report.violations (outcomes ctx_c) with
           | [] -> None
           | v :: _ ->
             Some
@@ -891,23 +763,12 @@ let workload =
 (* ---- durable journal ---- *)
 
 (* Record a workload mix through the journaled monitor, then replay the
-   scanned journal against a fresh same-seed cloud under both
-   evaluation modes.  The property is bit-identity: the replayed
-   verdict lines must equal the journaled ones — any hidden
-   nondeterminism in tokens, sequence numbers or evaluation order shows
-   up as the first diverging line. *)
-
-let journal_line_diff recorded replayed =
-  let rec go n a b =
-    match a, b with
-    | x :: a', y :: b' ->
-      if x = y then go (n + 1) a' b'
-      else Fmt.str "line %d: recorded [%s] vs replayed [%s]" n x y
-    | [], y :: _ -> Fmt.str "line %d only in replay: [%s]" n y
-    | x :: _, [] -> Fmt.str "line %d only in recording: [%s]" n x
-    | [], [] -> "identical"
-  in
-  go 0 recorded replayed
+   scanned journal against a fresh same-seed cloud.  Two properties:
+   bit-identity — the compiled replay's verdict lines must equal the
+   journaled ones, so any hidden nondeterminism in tokens, sequence
+   numbers or evaluation order shows up as the first diverging line;
+   and agreement — a replay under the interpreted reference engine must
+   produce the same (hint-normalized) outcomes as the compiled one. *)
 
 let journal_check ~mix_name ~wl_seed ~steps =
   match workload_trace ~mix_name ~wl_seed ~steps with
@@ -921,22 +782,33 @@ let journal_check ~mix_name ~wl_seed ~steps =
        Cm_journal.Jmonitor.sync jctx.Scenario.jmon;
        let events = Scenario.journal_events jctx in
        let recorded = Cm_journal.Jmonitor.journaled_verdict_lines events in
-       let check_eval eval label =
-         match Scenario.replay_journal ~cross:true ~eval events with
-         | Error msgs ->
-           Some
-             (Fmt.str "mix %s seed %d: %s replay failed: %s" mix_name
-                wl_seed label (String.concat "; " msgs))
-         | Ok lines ->
-           if lines = recorded then None
-           else
-             Some
-               (Fmt.str "mix %s seed %d: %s replay diverges at %s" mix_name
-                  wl_seed label (journal_line_diff recorded lines))
+       let replay engine =
+         Scenario.replay_journal ~cross:true ~engine events
        in
-       (match check_eval Runtime.Full_eval "full" with
-        | Some detail -> Some detail
-        | None -> check_eval Runtime.Incremental "incremental"))
+       (match replay Runtime.Compiled, replay Runtime.Interpreted with
+        | Error msgs, _ | _, Error msgs ->
+          Some
+            (Fmt.str "mix %s seed %d: replay failed: %s" mix_name wl_seed
+               (String.concat "; " msgs))
+        | Ok jm_c, Ok jm_i ->
+          let lines = Cm_journal.Jmonitor.verdict_lines jm_c in
+          let keys jm =
+            List.map outcome_key
+              (Cm_monitor.Monitor.outcomes (Cm_journal.Jmonitor.monitor jm))
+          in
+          let keys_i = keys jm_i and keys_c = keys jm_c in
+          if lines <> recorded then
+            Some
+              (Fmt.str "mix %s seed %d: replay diverges at %s" mix_name
+                 wl_seed
+                 (first_diff ~left:"recording" ~right:"replay" recorded lines))
+          else if keys_i <> keys_c then
+            Some
+              (Fmt.str "mix %s seed %d: replayed engine verdicts diverge at %s"
+                 mix_name wl_seed
+                 (first_diff ~left:"interpreted" ~right:"compiled" keys_i
+                    keys_c))
+          else None))
 
 let journal_run ~shrink ~seed ~index ~size =
   let mix_name, wl_seed, steps0 = workload_case_inputs ~seed ~index ~size in
@@ -985,5 +857,5 @@ let journal =
   }
 
 let all =
-  [ engine; rbac; codegen; monitor; incremental; chaos; workload; journal ]
+  [ engine; rbac; codegen; monitor; chaos; workload; journal ]
 let find name = List.find_opt (fun o -> o.name = name) all

@@ -17,12 +17,6 @@
       monitors, no violation on the fault-free cloud, and at least one
       violation for every injected mutant (the randomized
       generalization of the paper's three-mutant experiment).
-    - [incremental]: the same random traces must produce bit-identical
-      outcomes (status, full conformance string, verdicts, covered
-      requirements — no normalization) under [Full_eval] and
-      [Incremental] compiled monitors, and every mutant killed under
-      full re-evaluation must stay killed under delta-driven
-      evaluation.
 
     Every case is a pure function of [(seed, index, size)]; a failure is
     shrunk greedily and packaged as a replayable {!Corpus.entry}. *)
@@ -51,6 +45,13 @@ val rbac : t
 val codegen : t
 val monitor : t
 
+val outcome_key : Cm_monitor.Outcome.t -> string
+(** An exchange's status, conformance class, pre/post verdict classes
+    and covered requirements as one comparable string.  Undefined
+    verdicts drop their fault-localization hint, which differs between
+    the interpreted and compiled engines; everything else must agree
+    between the two. *)
+
 val chaos : t
 (** Verdict integrity under unreliable transport: a random trace runs
     once fault-free and once under a random bounded chaos profile
@@ -61,16 +62,17 @@ val chaos : t
 val workload : t
 (** Workload-DSL integrity: compiling the case's (mix, seed) twice must
     yield bit-identical traces, and executing the trace against the
-    cross-service monitor must produce identical strict outcome
-    sequences under full and incremental evaluation with a
-    violation-free baseline. *)
+    cross-service monitor must produce identical {!outcome_key}
+    sequences under the compiled engine and the interpreted reference,
+    with a violation-free baseline. *)
 
 val journal : t
 (** Durable-journal integrity: the case's workload mix is recorded live
     through the journaled monitor, then the scanned journal is replayed
-    against a fresh same-seed cloud under both [Full_eval] and
-    [Incremental]; the replayed verdict lines must be bit-identical to
-    the journaled ones. *)
+    against a fresh same-seed cloud under the compiled engine and the
+    interpreted reference.  The compiled replay's verdict lines must be
+    bit-identical to the journaled ones, and the two replays must agree
+    on every {!outcome_key}. *)
 
 val all : t list
 val find : string -> t option

@@ -342,16 +342,21 @@ let replay_tests =
             Alcotest.(check bool)
               (mix.Workload.mix_name ^ ": verdicts recorded") true
               (List.length recorded > 0);
-            List.iter
-              (fun (eval, label) ->
-                let lines =
-                  require (Scenario.replay_journal ~cross:true ~eval events)
-                in
-                Alcotest.(check (list string))
-                  (Printf.sprintf "%s under %s" mix.Workload.mix_name label)
-                  recorded lines)
-              [ (Runtime.Full_eval, "full"); (Runtime.Incremental, "incremental")
-              ])
+            let replay engine =
+              require (Scenario.replay_journal ~cross:true ~engine events)
+            in
+            let compiled = replay Runtime.Compiled in
+            let interpreted = replay Runtime.Interpreted in
+            Alcotest.(check (list string))
+              (mix.Workload.mix_name ^ " compiled replay")
+              recorded (Jmonitor.verdict_lines compiled);
+            let keys jm =
+              List.map Cm_proptest.Oracle.outcome_key
+                (Cm_monitor.Monitor.outcomes (Jmonitor.monitor jm))
+            in
+            Alcotest.(check (list string))
+              (mix.Workload.mix_name ^ " interpreted replay agrees")
+              (keys compiled) (keys interpreted))
           Workload.mixes)
   ]
 

@@ -2,8 +2,9 @@
 
    The determinism contract — same (mix, seed) => bit-identical trace —
    is checked over 1000 cases; the cross-service contracts are checked
-   by a full kill matrix over the extended mutant catalog under both
-   evaluation modes, several domain counts, and every chaos profile. *)
+   by a full kill matrix over the extended mutant catalog at several
+   domain counts and under every chaos profile, and the compiled engine
+   is checked against the interpreted reference on the cross workload. *)
 
 module Workload = Cm_workload.Workload
 module Exec = Cm_workload.Exec
@@ -14,11 +15,6 @@ module Monitor = Cm_monitor.Monitor
 module Outcome = Cm_monitor.Outcome
 module Runtime = Cm_contracts.Runtime
 module Chaos = Cm_cloudsim.Chaos
-
-let conformances ctx =
-  List.map
-    (fun (o : Outcome.t) -> Outcome.conformance_to_string o.Outcome.conformance)
-    (Monitor.outcomes ctx.Scenario.monitor)
 
 let violations ctx =
   Cm_monitor.Report.violations (Monitor.outcomes ctx.Scenario.monitor)
@@ -157,30 +153,32 @@ let baseline_tests =
           [ Workload.read_heavy; Workload.churn_heavy; Workload.adversarial ])
   ]
 
-(* ---- verdict determinism across evaluation modes and domains ---- *)
+(* ---- verdict determinism across engines and domains ---- *)
+
+(* Outcome keys of the cross workload under one engine; the interpreted
+   engine is the reference the compiled one must agree with. *)
+let cross_keys ?faults engine =
+  let ctx = require_ctx (Scenario.setup_cross ~engine ?faults ()) in
+  Scenario.cross ctx;
+  List.map Cm_proptest.Oracle.outcome_key
+    (Monitor.outcomes ctx.Scenario.monitor)
 
 let determinism_tests =
   [ Alcotest.test_case
-      "cross verdict sequence identical under Full_eval and Incremental"
+      "cross verdict sequence identical under compiled and interpreted engines"
       `Quick (fun () ->
-        let run eval =
-          let ctx = require_ctx (Scenario.setup_cross ~eval ()) in
-          Scenario.cross ctx;
-          conformances ctx
-        in
         Alcotest.(check (list string))
-          "same verdicts" (run Runtime.Full_eval) (run Runtime.Incremental));
+          "same verdicts" (cross_keys Runtime.Interpreted)
+          (cross_keys Runtime.Compiled));
     Alcotest.test_case
-      "mutant verdict sequence identical under Full_eval and Incremental"
+      "mutant verdict sequence identical under compiled and interpreted \
+       engines"
       `Quick (fun () ->
         let faults = (List.hd Mutant.cross_mutants).Mutant.faults in
-        let run eval =
-          let ctx = require_ctx (Scenario.setup_cross ~eval ~faults ()) in
-          Scenario.cross ctx;
-          conformances ctx
-        in
         Alcotest.(check (list string))
-          "same verdicts" (run Runtime.Full_eval) (run Runtime.Incremental));
+          "same verdicts"
+          (cross_keys ~faults Runtime.Interpreted)
+          (cross_keys ~faults Runtime.Compiled));
     Alcotest.test_case "kill matrix identical at 1, 2 and 4 domains" `Slow
       (fun () ->
         let summarise results =
@@ -227,19 +225,8 @@ let kill_tests =
         Alcotest.(check bool) "find X7" true
           (Mutant.find "X7-zombie-token" <> None));
     Alcotest.test_case
-      "full kill matrix: every mutant killed, baseline clean (Full_eval)"
-      `Slow (fun () ->
-        match Campaign.run_cross ~eval:Runtime.Full_eval Mutant.all_extended with
-        | Error msgs -> Alcotest.fail (String.concat "; " msgs)
-        | Ok results ->
-          if not (Campaign.all_killed results) then
-            Alcotest.fail (Campaign.kill_matrix results));
-    Alcotest.test_case
-      "full kill matrix: every mutant killed, baseline clean (Incremental)"
-      `Slow (fun () ->
-        match
-          Campaign.run_cross ~eval:Runtime.Incremental Mutant.all_extended
-        with
+      "full kill matrix: every mutant killed, baseline clean" `Slow (fun () ->
+        match Campaign.run_cross Mutant.all_extended with
         | Error msgs -> Alcotest.fail (String.concat "; " msgs)
         | Ok results ->
           if not (Campaign.all_killed results) then
