@@ -395,14 +395,16 @@ let section_ablation () =
   let full =
     Cm_contracts.Runtime.prepare ~strategy:Cm_contracts.Runtime.Full contract
   in
+  let snapshot prepared e =
+    Cm_contracts.Runtime.take_snapshot prepared
+      (Cm_contracts.Runtime.observe prepared e)
+  in
   List.iter
     (fun n ->
       let e = env n in
       Printf.printf "%-12d %15d B %15d B\n" n
-        (Cm_contracts.Runtime.snapshot_bytes
-           (Cm_contracts.Runtime.take_snapshot lean e))
-        (Cm_contracts.Runtime.snapshot_bytes
-           (Cm_contracts.Runtime.take_snapshot full e)))
+        (Cm_contracts.Runtime.snapshot_bytes (snapshot lean e))
+        (Cm_contracts.Runtime.snapshot_bytes (snapshot full e)))
     [ 1; 10; 100; 1000 ];
   print_newline ();
   let pre_env = env 100 in
@@ -411,11 +413,11 @@ let section_ablation () =
     Bechamel.Test.make_grouped ~name:"snapshot"
       [ Bechamel.Test.make ~name:"lean-snapshot+post-check-100-volumes"
           (staged (fun () ->
-               let s = Cm_contracts.Runtime.take_snapshot lean pre_env in
+               let s = snapshot lean pre_env in
                ignore (Cm_contracts.Runtime.check_post lean s post_env)));
         Bechamel.Test.make ~name:"full-snapshot+post-check-100-volumes"
           (staged (fun () ->
-               let s = Cm_contracts.Runtime.take_snapshot full pre_env in
+               let s = snapshot full pre_env in
                ignore (Cm_contracts.Runtime.check_post full s post_env)))
       ]
   in
@@ -477,16 +479,12 @@ let section_fastpath () =
   in
   (* a full per-request check cycle — exactly the calls Monitor.handle
      makes in Oracle mode, minus the observation GETs: one observed
-     state per side, all checks against it *)
+     state per side, the pre-phase and the postcondition against it *)
   let check_cycle prepared env () =
     let pre = Runtime.observe prepared env in
-    ignore (Runtime.check_pre_observed prepared pre);
-    ignore (Runtime.covered_requirements_observed prepared pre);
-    ignore (Runtime.auth_guard_tri prepared pre);
-    ignore (Runtime.functional_pre_tri prepared pre);
-    let s = Runtime.take_snapshot_observed prepared pre in
+    let { Runtime.snapshot; _ } = Runtime.pre_phase prepared pre in
     let post = Runtime.observe prepared env in
-    ignore (Runtime.check_post_observed prepared s post)
+    ignore (Runtime.check_post_observed prepared snapshot post)
   in
   let micro name contract env =
     let pi = Runtime.prepare ~engine:Runtime.Interpreted contract in

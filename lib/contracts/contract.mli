@@ -32,6 +32,10 @@ type t = {
   branches : branch list;
   requirements : string list;  (** all SecReq ids the contract covers *)
 }
+(** {!Generate} keeps two identities that {!Runtime.pre_phase} relies
+    on: [pre] is the simplified disjunction of the [branch_pre]s, and
+    [functional_pre] is the same disjunction built without [auth_guard].
+    A contract assembled by hand must keep them too. *)
 
 val pre_of_branches : branch list -> Cm_ocl.Ast.expr
 val post_of_branches : branch list -> Cm_ocl.Ast.expr

@@ -5,19 +5,30 @@ module Value = Cm_ocl.Value
 type strategy = Lean | Full
 type engine = Interpreted | Compiled
 
+(* A Lean snapshot slot: its name, its slot index in the plan, the
+   compiled slot expression e_k, and — when e_k is one of the branch
+   guards (and reads no pre()) — the index of that guard, whose value
+   the pre-phase has already computed. *)
+type slot = {
+  slot_name : string;
+  slot_index : int;
+  slot_t : Compile.t;
+  slot_guard : int option;
+}
+
 (* Everything staged once per contract at prepare time: one slot plan
    shared by all of the contract's expressions, and one closure per
-   expression the monitor evaluates on the request path. *)
+   expression the monitor evaluates on the request path.  The
+   precondition itself is not staged: the compiled pre-phase derives it
+   from the branch guards. *)
 type staged = {
   plan : Compile.plan;
-  pre_t : Compile.t;
   functional_pre_t : Compile.t;
   auth_guard_t : Compile.t option;
-  branches_t : (Compile.t * string list) list;
+  branches_t : (Compile.t * string list) array;
   post_lean_t : Compile.t;  (* rewritten post: pre(e_k) -> slot vars *)
   post_full_t : Compile.t;  (* original post, against a pre frame *)
-  slots_t : (string * int * Compile.t) list;
-      (* snapshot slot: name, its slot index in the plan, compiled e_k *)
+  slots_t : slot list;
   slots_read_pre : bool;  (* any slot expression reads pre() *)
 }
 
@@ -71,12 +82,31 @@ let contract_footprint (contract : Contract.t) =
           [ b.Contract.branch_pre; b.Contract.branch_post ])
         contract.Contract.branches)
 
+(* The guard a snapshot slot can reuse: the first branch whose guard is
+   the slot expression itself.  A slot that reads pre() is never
+   matched — it is evaluated against a frame marked as the pre-state,
+   where pre() means something different than in a guard. *)
+let guard_of_slot (contract : Contract.t) expr =
+  if Cm_ocl.Ast.has_pre expr then None
+  else
+    let rec find i = function
+      | [] -> None
+      | (b : Contract.branch) :: rest ->
+        if Cm_ocl.Ast.equal b.Contract.branch_pre expr then Some i
+        else find (i + 1) rest
+    in
+    find 0 contract.Contract.branches
+
 let stage_contract (contract : Contract.t) (compiled : Snapshot.compiled) =
   let plan = Compile.plan () in
   let slots_t =
     List.map
       (fun (name, expr) ->
-        (name, Compile.var_slot plan name, Compile.compile plan expr))
+        { slot_name = name;
+          slot_index = Compile.var_slot plan name;
+          slot_t = Compile.compile plan expr;
+          slot_guard = guard_of_slot contract expr
+        })
       compiled.Snapshot.slots
   in
   { plan;
@@ -85,12 +115,12 @@ let stage_contract (contract : Contract.t) (compiled : Snapshot.compiled) =
     auth_guard_t =
       Option.map (Compile.compile plan) contract.Contract.auth_guard;
     branches_t =
-      List.map
-        (fun (b : Contract.branch) ->
-          ( Compile.compile plan b.Contract.branch_pre,
-            b.Contract.branch_requirements ))
-        contract.Contract.branches;
-    pre_t = Compile.compile plan contract.Contract.pre;
+      Array.of_list
+        (List.map
+           (fun (b : Contract.branch) ->
+             ( Compile.compile plan b.Contract.branch_pre,
+               b.Contract.branch_requirements ))
+           contract.Contract.branches);
     post_lean_t = Compile.compile plan compiled.Snapshot.rewritten_post;
     post_full_t = Compile.compile plan contract.Contract.post;
     slots_read_pre =
@@ -137,78 +167,129 @@ let verdict_of_tribool tb hint =
   | Value.False -> Eval.Violated
   | Value.Unknown -> Eval.Undefined_verdict hint
 
-let count_eval p = p.evals <- p.evals + 1
+let count_evals p n = p.evals <- p.evals + n
 
-let check_pre_observed p obs =
-  count_eval p;
-  match p.engine with
-  | Interpreted -> Eval.verdict obs.env p.contract.Contract.pre
-  | Compiled ->
-    (match Compile.check p.staged.pre_t obs.frame with
-     | Value.True -> Eval.Holds
-     | Value.False -> Eval.Violated
-     | Value.Unknown ->
-       (* Rare path: re-run the interpreter for its fault-localization
-          hint (verdict is necessarily Undefined_verdict — the two
-          evaluators agree on tribools). *)
-       Eval.verdict obs.env p.contract.Contract.pre)
+type pre_phase = {
+  verdict : Eval.verdict;
+  covered : string list;
+  auth : Value.tribool option;
+  functional : Value.tribool;
+  snapshot : snapshot;
+}
 
-let check_pre p env = check_pre_observed p (observe p env)
-
-let covered_requirements_observed p obs =
-  count_eval p;
-  (match p.engine with
-   | Interpreted ->
-     Contract.active_branches p.contract obs.env
-     |> List.concat_map (fun b -> b.Contract.branch_requirements)
-   | Compiled ->
-     List.concat_map
-       (fun (branch_t, requirements) ->
-         if Compile.check branch_t obs.frame = Value.True then requirements
-         else [])
-       p.staged.branches_t)
-  |> List.sort_uniq String.compare
-
-let covered_requirements p env =
-  covered_requirements_observed p (observe p env)
-
-let auth_guard_tri p obs =
-  match p.contract.Contract.auth_guard, p.staged.auth_guard_t, p.engine with
-  | None, _, _ | _, None, _ -> None
-  | Some guard, _, Interpreted ->
-    count_eval p;
-    Some (Eval.check obs.env guard)
-  | _, Some guard_t, Compiled ->
-    count_eval p;
-    Some (Compile.check guard_t obs.frame)
-
-let functional_pre_tri p obs =
-  count_eval p;
-  match p.engine with
-  | Interpreted -> Eval.check obs.env p.contract.Contract.functional_pre
-  | Compiled -> Compile.check p.staged.functional_pre_t obs.frame
-
-let take_snapshot_observed p obs =
+(* Under Lean every slot is evaluated exactly once, except that a slot
+   for which [reuse] returns a value — a guard value the compiled
+   pre-phase already holds — takes that value verbatim. *)
+let snapshot_with p obs ~reuse =
   match p.strategy, p.engine with
+  | Full, _ -> Full_state obs
   | Lean, Interpreted ->
-    count_eval p;
+    count_evals p (List.length p.compiled.Snapshot.slots);
     Lean_values (Snapshot.take p.compiled obs.env)
   | Lean, Compiled ->
-    count_eval p;
     (* Slot expressions may themselves contain pre() (idempotent), so
        when they do, evaluate them against a frame marked as the
-       pre-state — each slot exactly once. *)
+       pre-state. *)
     let marked =
       if p.staged.slots_read_pre then Compile.with_pre ~pre:obs.frame obs.frame
       else obs.frame
     in
     Lean_values
       (List.map
-         (fun (name, _slot, slot_t) -> (name, Compile.eval slot_t marked))
+         (fun s ->
+           match reuse s with
+           | Some value -> (s.slot_name, value)
+           | None ->
+             count_evals p 1;
+             (s.slot_name, Compile.eval s.slot_t marked))
          p.staged.slots_t)
-  | Full, _ -> Full_state obs
 
-let take_snapshot p env = take_snapshot_observed p (observe p env)
+let take_snapshot p obs = snapshot_with p obs ~reuse:(fun _ -> None)
+
+(* The reference: every original expression evaluated on its own. *)
+let pre_phase_interpreted p obs =
+  let env = obs.env and contract = p.contract in
+  count_evals p (2 + List.length contract.Contract.branches);
+  let auth =
+    Option.map
+      (fun guard ->
+        count_evals p 1;
+        Eval.check env guard)
+      contract.Contract.auth_guard
+  in
+  { verdict = Eval.verdict env contract.Contract.pre;
+    covered =
+      Contract.active_branches contract env
+      |> List.concat_map (fun b -> b.Contract.branch_requirements)
+      |> List.sort_uniq String.compare;
+    auth;
+    functional = Eval.check env contract.Contract.functional_pre;
+    snapshot = take_snapshot p obs
+  }
+
+(* One pass over the branch guards; every other answer is derived.
+   - pre = ∨ guards: the contract's precondition is the (simplified)
+     disjunction of the branch guards, and simplification is Kleene-sound.
+   - covered = the requirements of the guards that are True.
+   - functional = pre when the authorization guard is absent or True:
+     each guard is inv ∧ guard ∧ auth, the functional precondition the
+     same disjunction without auth, and x ∧ True = x in Kleene logic.
+     Otherwise it is evaluated.
+   - a snapshot slot whose expression is a guard reuses that guard's
+     value, so the journaled pre-image is the same bytes. *)
+let pre_phase_compiled p obs =
+  let staged = p.staged and frame = obs.frame in
+  count_evals p (Array.length staged.branches_t);
+  let guards =
+    Array.map (fun (t, _) -> Compile.eval t frame) staged.branches_t
+  in
+  let pre =
+    Array.fold_left (fun acc v -> Value.tri_or acc (Value.truth v)) Value.False
+      guards
+  in
+  let verdict =
+    match pre with
+    | Value.True -> Eval.Holds
+    | Value.False -> Eval.Violated
+    | Value.Unknown ->
+      (* Rare path: re-run the interpreter for its fault-localization
+         hint (the verdict is necessarily Undefined_verdict — the two
+         evaluators agree on tribools). *)
+      Eval.verdict obs.env p.contract.Contract.pre
+  in
+  let covered = ref [] in
+  Array.iteri
+    (fun i (_, requirements) ->
+      if Value.truth guards.(i) = Value.True then
+        covered := requirements @ !covered)
+    staged.branches_t;
+  let auth =
+    Option.map
+      (fun t ->
+        count_evals p 1;
+        Compile.check t frame)
+      staged.auth_guard_t
+  in
+  let functional =
+    match auth with
+    | None | Some Value.True -> pre
+    | Some (Value.False | Value.Unknown) ->
+      count_evals p 1;
+      Compile.check staged.functional_pre_t frame
+  in
+  { verdict;
+    covered = List.sort_uniq String.compare !covered;
+    auth;
+    functional;
+    snapshot =
+      snapshot_with p obs ~reuse:(fun s ->
+          Option.map (Array.get guards) s.slot_guard)
+  }
+
+let pre_phase p obs =
+  match p.engine with
+  | Interpreted -> pre_phase_interpreted p obs
+  | Compiled -> pre_phase_compiled p obs
 
 let snapshot_bytes = function
   | Lean_values taken -> Snapshot.size_bytes taken
@@ -227,16 +308,17 @@ let snapshot_of_values taken = Lean_values taken
 let post_hint = "postcondition undefined"
 
 let check_post_observed p snapshot obs =
-  count_eval p;
+  count_evals p 1;
   let tri =
     match snapshot, p.engine with
     | Lean_values taken, Interpreted ->
       Snapshot.check_post_lean p.compiled taken obs.env
     | Lean_values taken, Compiled ->
       List.iter
-        (fun (name, slot, _) ->
-          Compile.write_slot obs.frame slot
-            (Option.value ~default:Value.Undef (List.assoc_opt name taken)))
+        (fun s ->
+          Compile.write_slot obs.frame s.slot_index
+            (Option.value ~default:Value.Undef
+               (List.assoc_opt s.slot_name taken)))
         p.staged.slots_t;
       Compile.check p.staged.post_lean_t obs.frame
     | Full_state pre, Interpreted ->

@@ -1,15 +1,16 @@
 (** Contract checking at run time.
 
-    The monitor uses this module per request: check the precondition in
-    the observed pre-state, take a snapshot, let the cloud act, then
-    check the postcondition in the observed post-state against the
+    The monitor uses this module per request: run the {!pre_phase} over
+    the observed pre-state (precondition, covered requirements,
+    authorization and functional guards, snapshot), let the cloud act,
+    then check the postcondition in the observed post-state against the
     snapshot.
 
     {!prepare} stages everything that does not depend on the request —
     snapshot plan, and (with the default {!Compiled} engine) one
     {!Cm_ocl.Compile} closure per contract expression over a shared slot
     plan — so the per-request work is a frame projection plus direct
-    closure calls. *)
+    closure calls: one per branch guard, and few more. *)
 
 type strategy =
   | Lean  (** snapshot only the values under [pre(...)] — the paper's *)
@@ -70,26 +71,46 @@ val observe : prepared -> Cm_ocl.Eval.env -> observed
 
 val observed_env : observed -> Cm_ocl.Eval.env
 
-val check_pre : prepared -> Cm_ocl.Eval.env -> Cm_ocl.Eval.verdict
-val check_pre_observed : prepared -> observed -> Cm_ocl.Eval.verdict
-
-val covered_requirements : prepared -> Cm_ocl.Eval.env -> string list
-(** SecReq ids of the branches active in the pre-state. *)
-
-val covered_requirements_observed : prepared -> observed -> string list
-
-val auth_guard_tri : prepared -> observed -> Cm_ocl.Value.tribool option
-(** Truth of the contract's authorization guard in the observed state;
-    [None] when the contract has no guard. *)
-
-val functional_pre_tri : prepared -> observed -> Cm_ocl.Value.tribool
-(** Truth of the functional (non-authorization) precondition. *)
-
 type snapshot
 
-val take_snapshot : prepared -> Cm_ocl.Eval.env -> snapshot
-val take_snapshot_observed : prepared -> observed -> snapshot
-(** Under {!Lean}, every snapshot slot is evaluated exactly once. *)
+type pre_phase = {
+  verdict : Cm_ocl.Eval.verdict;  (** the precondition *)
+  covered : string list;
+      (** SecReq ids of the branches active in the pre-state, sorted *)
+  auth : Cm_ocl.Value.tribool option;
+      (** truth of the authorization guard; [None] when the contract
+          has none *)
+  functional : Cm_ocl.Value.tribool;
+      (** truth of the functional (non-authorization) precondition *)
+  snapshot : snapshot;  (** the pre-state the postcondition is checked against *)
+}
+(** Everything the monitor concludes from one observed pre-state. *)
+
+val pre_phase : prepared -> observed -> pre_phase
+(** The whole pre-phase of one exchange.
+
+    Under {!Compiled} it is one pass over the branch guards
+    [inv(source) ∧ guard ∧ auth]: each staged guard runs once and the
+    other answers are derived from the guard values —
+    - the precondition is their Kleene disjunction (the contract's
+      [pre] is that disjunction, simplified, and {!Cm_ocl.Simplify} is
+      Kleene-sound);
+    - [covered] is the requirements of the guards that are true;
+    - [functional] equals the precondition when the authorization guard
+      is absent or true ([x ∧ true = x]); otherwise the functional
+      precondition is evaluated;
+    - a {!Lean} snapshot slot whose expression is a branch guard (and
+      reads no [pre()]) takes that guard's value verbatim, so journaled
+      pre-images are the same bytes as an independent evaluation.
+    An undefined precondition re-runs {!Cm_ocl.Eval} for its hint.
+
+    Under {!Interpreted} every original expression is evaluated on its
+    own — the independent reference the differential tests and oracles
+    check the derivation against. *)
+
+val take_snapshot : prepared -> observed -> snapshot
+(** The snapshot alone, every {!Lean} slot evaluated once (crash
+    recovery's fallback, and the snapshot ablation). *)
 
 val snapshot_bytes : snapshot -> int
 
@@ -113,7 +134,15 @@ val check_post_observed :
 (** {2 Evaluation statistics} *)
 
 type eval_stats = {
-  evals : int;  (** top-level expression evaluations *)
+  evals : int;
+      (** top-level expression evaluations: one per staged closure run
+          (or, under {!Interpreted}, per expression walked).  A
+          {!Compiled} {!pre_phase} counts each branch guard, the
+          authorization guard, the functional precondition only when
+          it is evaluated, and each snapshot slot not taken from a
+          guard; every postcondition check counts one.  Answers
+          derived from the guard values, and the interpreter re-run for
+          an undefined precondition's hint, count nothing. *)
   replays : int;
       (** always 0: every check evaluates its expression.  Kept so
           existing readers of the record still compile. *)

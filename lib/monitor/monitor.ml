@@ -1084,24 +1084,10 @@ let monitored t classified prepared req =
   in
   let pre_obs = timed t `Observe_pre observe_now in
   let contract = Runtime.contract prepared in
-  let pre_verdict =
-    timed t `Eval_pre (fun () -> Runtime.check_pre_observed prepared pre_obs)
-  in
-  let covered =
-    timed t `Eval_pre (fun () ->
-        Runtime.covered_requirements_observed prepared pre_obs)
-  in
-  let auth =
-    timed t `Eval_pre (fun () -> Runtime.auth_guard_tri prepared pre_obs)
-  in
-  let functional =
-    timed t `Eval_pre (fun () -> Runtime.functional_pre_tri prepared pre_obs)
+  let { Runtime.verdict = pre_verdict; covered; auth; functional; snapshot } =
+    timed t `Eval_pre (fun () -> Runtime.pre_phase prepared pre_obs)
   in
   let conclude_now () =
-    let snapshot =
-      timed t `Eval_pre (fun () ->
-          Runtime.take_snapshot_observed prepared pre_obs)
-    in
     conclude t prepared req ~user_token ~make_env ~observe_now ~pre_verdict
       ~auth ~functional ~covered ~snapshot
   in
@@ -1166,9 +1152,8 @@ let resume_inner t req (image : pre_image) =
            (* Full-strategy snapshots are not journalable; snapshot the
               current state instead (journaled monitors run Lean, so
               this arm is a fallback, not a correctness path). *)
-           timed t `Eval_pre (fun () ->
-               Runtime.take_snapshot_observed prepared
-                 (timed t `Observe_pre observe_now))
+           let pre_obs = timed t `Observe_pre observe_now in
+           timed t `Eval_pre (fun () -> Runtime.take_snapshot prepared pre_obs)
        in
        conclude t prepared req ~user_token ~make_env ~observe_now
          ~pre_verdict:image.pi_pre_verdict ~auth:image.pi_auth

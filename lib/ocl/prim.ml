@@ -69,78 +69,85 @@ let coll_sum items =
     | [] ->
       if all_int then Value.of_int acc_int
       else Value.Json (Json.Float (acc_float +. float_of_int acc_int))
-    | item :: rest ->
-      (match numeric item with
-       | Some (`Int n) -> loop (acc_int + n) acc_float all_int rest
-       | Some (`Float f) -> loop acc_int (acc_float +. f) false rest
-       | None -> Value.Undef)
+    | Json.Int n :: rest -> loop (acc_int + n) acc_float all_int rest
+    | Json.Float f :: rest -> loop acc_int (acc_float +. f) false rest
+    | _ :: _ -> Value.Undef
   in
   loop 0 0. true items
 
+(* OCL collection coercion, read in place: a JSON list is its own
+   elements, [Undef] the empty collection (an absent resource has no
+   elements — this is what makes [project.volumes->size() = 0] express
+   "GET on Volumes did not return 200"), and any other value a
+   singleton.  The kernels below walk the observed JSON directly; only
+   an iterator body, which binds each element as a [Value.t], boxes
+   one element at a time. *)
+let elements = function
+  | Value.Undef -> []
+  | Value.Json (Json.List items) -> items
+  | Value.Json other -> [ other ]
+
 let coll op value =
-  let items = Value.as_collection value in
+  let items = elements value in
   match op with
   | Ast.Size -> Value.of_int (List.length items)
   | Ast.Is_empty -> value_of_bool (items = [])
   | Ast.Not_empty -> value_of_bool (items <> [])
   | Ast.Sum -> coll_sum items
-  | Ast.First -> (match items with first :: _ -> first | [] -> Value.Undef)
+  | Ast.First ->
+    (match items with first :: _ -> Value.Json first | [] -> Value.Undef)
   | Ast.Last ->
-    (match List.rev items with last :: _ -> last | [] -> Value.Undef)
+    (match List.rev items with last :: _ -> Value.Json last | [] -> Value.Undef)
   | Ast.As_set ->
     let rec dedup seen = function
       | [] -> List.rev seen
       | item :: rest ->
-        if
-          List.exists
-            (fun s -> Value.equal_value s item = Value.True)
-            seen
-        then dedup seen rest
+        if List.exists (Json.equal item) seen then dedup seen rest
         else dedup (item :: seen) rest
     in
-    let distinct =
-      dedup [] items
-      |> List.filter_map (function
-           | Value.Json j -> Some j
-           | Value.Undef -> None)
-    in
-    Value.Json (Json.List distinct)
+    Value.Json (Json.List (dedup [] items))
 
 let member ~includes value needle =
-  let items = Value.as_collection value in
   match needle with
   | Value.Undef -> Value.Undef
-  | Value.Json _ ->
-    let found =
-      List.exists (fun item -> Value.equal_value item needle = Value.True) items
-    in
+  | Value.Json x ->
+    let found = List.exists (Json.equal x) (elements value) in
     value_of_bool (if includes then found else not found)
 
 let count value needle =
-  let items = Value.as_collection value in
   match needle with
   | Value.Undef -> Value.Undef
-  | Value.Json _ ->
+  | Value.Json x ->
     Value.of_int
-      (List.length
-         (List.filter
-            (fun item -> Value.equal_value item needle = Value.True)
-            items))
+      (List.fold_left
+         (fun n item -> if Json.equal x item then n + 1 else n)
+         0 (elements value))
 
+(* Every OCL expression is total and pure, so [forAll]/[exists] may stop
+   at their absorbing element (Kleene [False and _] / [True or _])
+   without changing the result. *)
 let iter kind value body =
-  let items = Value.as_collection value in
-  let body_truth item = Value.truth (body item) in
+  let items = elements value in
+  let body_truth item = Value.truth (body (Value.Json item)) in
   match kind with
   | Ast.For_all ->
-    value_of_tribool
-      (List.fold_left
-         (fun acc item -> Value.tri_and acc (body_truth item))
-         Value.True items)
+    let rec loop acc = function
+      | [] -> value_of_tribool acc
+      | item :: rest ->
+        (match body_truth item with
+         | Value.False -> v_false
+         | t -> loop (Value.tri_and acc t) rest)
+    in
+    loop Value.True items
   | Ast.Exists ->
-    value_of_tribool
-      (List.fold_left
-         (fun acc item -> Value.tri_or acc (body_truth item))
-         Value.False items)
+    let rec loop acc = function
+      | [] -> value_of_tribool acc
+      | item :: rest ->
+        (match body_truth item with
+         | Value.True -> v_true
+         | t -> loop (Value.tri_or acc t) rest)
+    in
+    loop Value.False items
   | Ast.One ->
     let count_true = ref 0 and unknown = ref false in
     List.iter
@@ -158,15 +165,7 @@ let iter kind value body =
       | item :: rest ->
         (match body_truth item with
          | Value.Unknown -> Value.Undef
-         | t ->
-           let acc =
-             if t = keep_on then
-               match item with
-               | Value.Json j -> j :: acc
-               | Value.Undef -> acc
-             else acc
-           in
-           loop acc rest)
+         | t -> loop (if t = keep_on then item :: acc else acc) rest)
     in
     loop [] items
   | Ast.Any ->
@@ -174,13 +173,13 @@ let iter kind value body =
       | [] -> Value.Undef
       | item :: rest ->
         (match body_truth item with
-         | Value.True -> item
+         | Value.True -> Value.Json item
          | Value.False -> find rest
          | Value.Unknown -> Value.Undef)
     in
     find items
   | Ast.Is_unique ->
-    let values = List.map body items in
+    let values = List.map (fun item -> body (Value.Json item)) items in
     if List.exists (fun v -> v = Value.Undef) values then Value.Undef
     else begin
       let rec pairwise = function
@@ -195,7 +194,7 @@ let iter kind value body =
     let mapped =
       List.filter_map
         (fun item ->
-          match body item with
+          match body (Value.Json item) with
           | Value.Json j -> Some j
           | Value.Undef -> None)
         items

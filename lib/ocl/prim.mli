@@ -26,18 +26,31 @@ val arith : Ast.binop -> Value.t -> Value.t -> Value.t
 
 val neg : Value.t -> Value.t
 
+(** {2 Collection kernels}
+
+    Every collection operation reads its receiver with OCL's collection
+    coercion: a JSON list is its elements, [Undef] is the empty
+    collection (an absent resource has no elements — this is what makes
+    [project.volumes->size() = 0] express "GET on Volumes did not return
+    200"), and any other value is a singleton.  The kernels walk the
+    observed [Json.List] in place: [size], [includes] and [count]
+    allocate nothing per element, and an iterator boxes only the element
+    it binds for its body. *)
+
 val coll : Ast.coll_op -> Value.t -> Value.t
-(** The argument-less arrow operations ([size], [isEmpty], …) applied to
-    a value coerced by {!Value.as_collection}. *)
+(** The argument-less arrow operations ([size], [isEmpty], …). *)
 
 val member : includes:bool -> Value.t -> Value.t -> Value.t
 (** [includes]/[excludes]; an undefined needle is [Undef]. *)
 
 val count : Value.t -> Value.t -> Value.t
+(** Occurrences of the needle; an undefined needle is [Undef]. *)
 
 val iter : Ast.iter_kind -> Value.t -> (Value.t -> Value.t) -> Value.t
 (** [iter kind coll body] runs an iterator; [body] evaluates the
-    iterator's body with the element bound. *)
+    iterator's body with the element bound.  [forAll] and [exists] stop
+    at the first [false] / [true] body: bodies are total and pure, so
+    the Kleene result is the same as a full walk. *)
 
 val compare : Ast.binop -> Value.t -> Value.t -> Value.t
 (** [Lt]/[Le]/[Gt]/[Ge] via {!Value.compare_order}. *)

@@ -18,11 +18,6 @@ let of_tribool = function
   | False -> Json (Json.Bool false)
   | Unknown -> Undef
 
-let as_collection = function
-  | Undef -> []
-  | Json (Json.List items) -> List.map (fun j -> Json j) items
-  | Json other -> [ Json other ]
-
 let equal_value a b =
   match a, b with
   | Undef, _ | _, Undef -> Unknown

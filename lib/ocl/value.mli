@@ -29,12 +29,6 @@ val truth : t -> tribool
 
 val of_tribool : tribool -> t
 
-val as_collection : t -> t list
-(** OCL collection coercion: a JSON list yields its elements; [Undef]
-    yields the empty collection (an absent resource has no elements —
-    this is what makes [project.volumes->size() = 0] express "GET on
-    Volumes did not return 200"); any other value is a singleton. *)
-
 val equal_value : t -> t -> tribool
 (** Structural equality; [Unknown] when either side is [Undef]. *)
 

@@ -245,7 +245,119 @@ let corner_tests =
 
 (* ---- runtime-level agreement: Interpreted vs Compiled engines ---- *)
 
+(* Hand-built contracts, made with the recipe Generate uses: each branch
+   guard is [guard ∧ auth], the precondition their disjunction, the
+   functional precondition the same disjunction without [auth]. *)
+let hand_contract ~resource ?auth branches =
+  let simplify = Cm_ocl.Simplify.simplify in
+  let auth = Option.map ocl auth in
+  let branch auth (guard, effect, requirements) =
+    { Contract.source = "s";
+      target = "t";
+      branch_pre = simplify (Ast.conj (ocl guard :: Option.to_list auth));
+      branch_post = ocl effect;
+      branch_requirements = requirements
+    }
+  in
+  let branches_with = List.map (branch auth) branches in
+  let functional = List.map (branch None) branches in
+  { Contract.trigger = { BM.meth = Cm_http.Meth.GET; resource };
+    pre = simplify (Contract.pre_of_branches branches_with);
+    post = simplify (Contract.post_of_branches branches_with);
+    functional_pre = simplify (Contract.pre_of_branches functional);
+    auth_guard = auth;
+    branches = branches_with;
+    requirements =
+      List.sort_uniq String.compare
+        (List.concat_map (fun (_, _, r) -> r) branches)
+  }
+
+let volume_branches =
+  [ ("project.volumes->size() >= 1", "project.volumes->size() >= 1", [ "h.1" ]);
+    ("project.volumes->size() = 0", "project.volumes->size() = 0", [ "h.2" ])
+  ]
+
+(* the authorization guard is false for a subject in no group *)
+let auth_false_contract =
+  hand_contract ~resource:"auth_false"
+    ~auth:"user.groups->includes('proj_administrator')" volume_branches
+
+(* the authorization guard is undefined for a non-numeric level *)
+let auth_unknown_contract =
+  hand_contract ~resource:"auth_unknown" ~auth:"user.level > 2"
+    volume_branches
+
+(* snapshot slots that match no branch guard: a pre() in a branch
+   effect, and a guard that itself reads pre() — which the pre-phase
+   evaluates without a pre-state but the snapshot evaluates in one *)
+let unmatched_slot_contract =
+  hand_contract ~resource:"unmatched_slot"
+    ~auth:"user.groups->includes('proj_administrator')"
+    [ ( "project.volumes->size() >= 1",
+        "project.volumes->size() = pre(project.volumes->size())",
+        [ "h.1" ] );
+      ("pre(project.id) = 'p'", "project.id = 'p'", [ "h.2" ])
+    ]
+
+let hand_contracts =
+  [ ("hand", auth_false_contract);
+    ("hand", auth_unknown_contract);
+    ("hand", unmatched_slot_contract)
+  ]
+
+let hand_env ~volumes user =
+  Eval.env_of_bindings
+    [ ("project", container volumes); ("quota_sets", quota 3); ("user", user) ]
+
+let nobody = Json.obj [ ("groups", Json.list []) ]
+let admin = Json.obj [ ("groups", Json.list [ Json.string "proj_administrator" ]) ]
+let level l = Json.obj [ ("level", l) ]
+
+let hand_envs =
+  List.concat_map
+    (fun user -> [ hand_env ~volumes:0 user; hand_env ~volumes:2 user ])
+    [ nobody; admin; level (Json.int 5); level (Json.int 1);
+      level (Json.string "high")
+    ]
+
 let verdict_t = Alcotest.testable Eval.pp_verdict Eval.verdict_equal
+let tribool = Alcotest.testable Value.pp_tribool ( = )
+
+(* A Lean snapshot as the bytes the journal would persist. *)
+let snapshot_text snapshot =
+  Runtime.snapshot_values snapshot
+  |> Option.map
+       (List.map (fun (name, value) ->
+            name ^ "="
+            ^
+            match value with
+            | Value.Undef -> "undefined"
+            | Value.Json j -> Cm_json.Printer.to_string j))
+
+let pre_phase prepared env =
+  Runtime.pre_phase prepared (Runtime.observe prepared env)
+
+(* Every pre-phase answer of the compiled engine — derived from one pass
+   over the branch guards — against the interpreter's independent
+   evaluation of each original expression, then the postcondition over
+   the two snapshots. *)
+let engines_agree label pi pc pre_env post_env =
+  let ri = pre_phase pi pre_env and rc = pre_phase pc pre_env in
+  Alcotest.check verdict_t (label ^ " check_pre") ri.Runtime.verdict
+    rc.Runtime.verdict;
+  Alcotest.(check (list string))
+    (label ^ " covered") ri.Runtime.covered rc.Runtime.covered;
+  Alcotest.(check (option tribool))
+    (label ^ " auth") ri.Runtime.auth rc.Runtime.auth;
+  Alcotest.check tribool (label ^ " functional") ri.Runtime.functional
+    rc.Runtime.functional;
+  Alcotest.(check (option (list string)))
+    (label ^ " snapshot")
+    (snapshot_text ri.Runtime.snapshot)
+    (snapshot_text rc.Runtime.snapshot);
+  Alcotest.check verdict_t (label ^ " check_post")
+    (Runtime.check_post pi ri.Runtime.snapshot post_env)
+    (Runtime.check_post pc rc.Runtime.snapshot post_env)
 
 let runtime_differential_tests =
   List.map
@@ -255,7 +367,9 @@ let runtime_differential_tests =
           BM.pp_trigger c.Contract.trigger
       in
       Alcotest.test_case name `Quick (fun () ->
-          let envs = grid c in
+          let envs =
+            if service = "hand" then grid c @ hand_envs else grid c
+          in
           List.iter
             (fun strategy ->
               let pi = Runtime.prepare ~strategy ~engine:Interpreted c in
@@ -265,23 +379,97 @@ let runtime_differential_tests =
                   let post_env =
                     List.nth envs ((i + 1) mod List.length envs)
                   in
-                  Alcotest.check verdict_t
-                    (Fmt.str "check_pre/seed-%d" i)
-                    (Runtime.check_pre pi pre_env)
-                    (Runtime.check_pre pc pre_env);
-                  Alcotest.(check (list string))
-                    (Fmt.str "covered/seed-%d" i)
-                    (Runtime.covered_requirements pi pre_env)
-                    (Runtime.covered_requirements pc pre_env);
-                  let si = Runtime.take_snapshot pi pre_env in
-                  let sc = Runtime.take_snapshot pc pre_env in
-                  Alcotest.check verdict_t
-                    (Fmt.str "check_post/seed-%d" i)
-                    (Runtime.check_post pi si post_env)
-                    (Runtime.check_post pc sc post_env))
+                  engines_agree (Fmt.str "seed-%d" i) pi pc pre_env post_env)
                 envs)
             [ Runtime.Lean; Runtime.Full ]))
-    all_contracts
+    (all_contracts @ hand_contracts)
+
+(* The hand-built contracts do reach the cases they are built for. *)
+let pre_phase_case_tests =
+  let compiled c = Runtime.prepare ~engine:Compiled c in
+  [ Alcotest.test_case "auth guard false: functional evaluated on its own"
+      `Quick (fun () ->
+        let r = pre_phase (compiled auth_false_contract) (hand_env ~volumes:2 nobody) in
+        Alcotest.check verdict_t "pre" Eval.Violated r.Runtime.verdict;
+        Alcotest.(check (option tribool)) "auth" (Some Value.False)
+          r.Runtime.auth;
+        Alcotest.check tribool "functional" Value.True r.Runtime.functional);
+    Alcotest.test_case "auth guard unknown: functional evaluated on its own"
+      `Quick (fun () ->
+        let r =
+          pre_phase (compiled auth_unknown_contract)
+            (hand_env ~volumes:0 (level (Json.string "high")))
+        in
+        Alcotest.(check (option tribool)) "auth" (Some Value.Unknown)
+          r.Runtime.auth;
+        Alcotest.check tribool "functional" Value.True r.Runtime.functional;
+        Alcotest.(check bool) "pre undefined" true
+          (match r.Runtime.verdict with
+           | Eval.Undefined_verdict _ -> true
+           | Eval.Holds | Eval.Violated -> false));
+    Alcotest.test_case "auth guard true: functional is the precondition"
+      `Quick (fun () ->
+        let r = pre_phase (compiled auth_false_contract) (hand_env ~volumes:0 admin) in
+        Alcotest.check verdict_t "pre" Eval.Holds r.Runtime.verdict;
+        Alcotest.check tribool "functional" Value.True r.Runtime.functional;
+        Alcotest.(check (list string)) "covered" [ "h.2" ] r.Runtime.covered);
+    Alcotest.test_case "pre() slots matching no guard are evaluated" `Quick
+      (fun () ->
+        let p = compiled unmatched_slot_contract in
+        let env = hand_env ~volumes:2 admin in
+        let r = pre_phase p env in
+        let before = (Runtime.eval_stats p).Runtime.evals in
+        ignore (pre_phase p env);
+        (* two guards, the authorization guard, and the guard reading
+           pre() plus the effect's pre(size): two unmatched slots *)
+        Alcotest.(check int) "evals" 5
+          ((Runtime.eval_stats p).Runtime.evals - before);
+        Alcotest.(check (option (list string))) "snapshot"
+          (Some [ "__pre0=true"; "__pre1=2"; "__pre2=true" ])
+          (snapshot_text r.Runtime.snapshot))
+  ]
+
+(* ---- Prim collection kernels over degenerate receivers ----
+
+   [x] is unbound (Undef), a scalar, an empty list, or a list holding
+   null; each kernel is pinned to its value and the two evaluators must
+   agree on it. *)
+
+let kernel_receivers =
+  [ ("undef", None);
+    ("scalar", Some (Json.int 7));
+    ("empty", Some (Json.list []));
+    ("with-null", Some (Json.list [ Json.null; Json.int 0 ]))
+  ]
+
+let kernel_cases =
+  [ ("x->size()", [ "0"; "1"; "0"; "2" ]);
+    ("x->includes(null)", [ "false"; "false"; "false"; "true" ]);
+    ("x->includes(7)", [ "false"; "true"; "false"; "false" ]);
+    ("x->excludes(0)", [ "true"; "true"; "true"; "false" ]);
+    ("x->count(null)", [ "0"; "0"; "0"; "1" ]);
+    ("x->forAll(e | e <> null)", [ "true"; "true"; "true"; "false" ]);
+    ("x->forAll(e | e > 0)", [ "true"; "true"; "true"; "false" ]);
+    ("x->exists(e | e = 0)", [ "false"; "false"; "false"; "true" ]);
+    ("x->isEmpty()", [ "true"; "false"; "true"; "false" ])
+  ]
+
+let prim_kernel_tests =
+  List.map
+    (fun (text, expected) ->
+      Alcotest.test_case text `Quick (fun () ->
+          let expr = ocl text in
+          List.iter2
+            (fun (label, doc) want ->
+              let env =
+                Eval.env_of_bindings
+                  (match doc with Some j -> [ ("x", j) ] | None -> [])
+              in
+              agree_on (text ^ "/" ^ label) env expr;
+              Alcotest.(check string) (text ^ "/" ^ label) want
+                (Fmt.str "%a" Value.pp (Eval.eval env expr)))
+            kernel_receivers expected))
+    kernel_cases
 
 (* ---- exhaustive Kleene connectives ----
 
@@ -291,8 +479,6 @@ let runtime_differential_tests =
    the full operand grid: each of the three truth values both as a
    compile-time constant (literal) and as a runtime value (variable
    binding — including an unbound variable for Unknown). *)
-
-let tribool = Alcotest.testable Value.pp_tribool ( = )
 
 let kleene_env =
   Eval.env_of_bindings [ ("t", Json.bool true); ("f", Json.bool false) ]
@@ -355,5 +541,7 @@ let () =
     [ ("expr-differential", expr_differential_tests);
       ("corners", corner_tests);
       ("runtime-differential", runtime_differential_tests);
+      ("pre-phase-cases", pre_phase_case_tests);
+      ("prim-kernels", prim_kernel_tests);
       ("kleene-connectives", kleene_tests)
     ]

@@ -197,20 +197,23 @@ let snapshot_tests =
 
 (* ---- runtime ---- *)
 
+let pre_phase prepared env =
+  Runtime.pre_phase prepared (Runtime.observe prepared env)
+
 let runtime_tests =
   [ Alcotest.test_case "check_pre verdicts" `Quick (fun () ->
         let prepared = Runtime.prepare delete_contract in
         Alcotest.(check bool) "holds with 2 volumes" true
-          (Runtime.check_pre prepared (env_with 2 3) = Eval.Holds);
+          ((pre_phase prepared (env_with 2 3)).Runtime.verdict = Eval.Holds);
         Alcotest.(check bool) "violated with 0 volumes" true
-          (Runtime.check_pre prepared (env_with 0 3) = Eval.Violated));
+          ((pre_phase prepared (env_with 0 3)).Runtime.verdict = Eval.Violated));
     Alcotest.test_case "covered requirements from active branches" `Quick
       (fun () ->
         let prepared = Runtime.prepare delete_contract in
         Alcotest.(check (list string)) "1.4" [ "1.4" ]
-          (Runtime.covered_requirements prepared (env_with 2 3));
+          (pre_phase prepared (env_with 2 3)).Runtime.covered;
         Alcotest.(check (list string)) "none when pre fails" []
-          (Runtime.covered_requirements prepared (env_with 0 3)));
+          (pre_phase prepared (env_with 0 3)).Runtime.covered);
     Alcotest.test_case "lean and full strategies agree on verdicts" `Quick
       (fun () ->
         let lean = Runtime.prepare ~strategy:Runtime.Lean delete_contract in
@@ -218,10 +221,12 @@ let runtime_tests =
         let pre_env = env_with 3 3 in
         let post_env = env_with 2 3 in
         let v_lean =
-          Runtime.check_post lean (Runtime.take_snapshot lean pre_env) post_env
+          Runtime.check_post lean (pre_phase lean pre_env).Runtime.snapshot
+            post_env
         in
         let v_full =
-          Runtime.check_post full (Runtime.take_snapshot full pre_env) post_env
+          Runtime.check_post full (pre_phase full pre_env).Runtime.snapshot
+            post_env
         in
         Alcotest.(check bool) "agree" true
           (Eval.verdict_equal v_lean v_full);

@@ -29,7 +29,8 @@ type fixture = {
   service : string;
 }
 
-let fixture ?(mode = Monitor.Oracle) () =
+let fixture ?(mode = Monitor.Oracle) ?(configure = Fun.id) ?(wrap = Fun.id) ()
+    =
   let cloud = Cloud.create () in
   Cloud.seed cloud Cloud.my_project;
   Identity.add_user (Cloud.identity cloud) ~password:"svc"
@@ -44,7 +45,7 @@ let fixture ?(mode = Monitor.Oracle) () =
     Monitor.default_config ~mode ~service_token:service ~security
       Cinder.resources Cinder.behavior
   in
-  match Monitor.create config (Cloud.handle cloud) with
+  match Monitor.create (configure config) (wrap (Cloud.handle cloud)) with
   | Ok monitor ->
     { cloud;
       monitor;
@@ -622,6 +623,65 @@ let dispatch_tests =
       Cm_uml.Glance_model.resources Cm_uml.Glance_model.behavior
   ]
 
+(* ---- the pre-phase: evaluation counts and phase timing ---- *)
+
+let pre_phase_tests =
+  [ Alcotest.test_case "GET(Volumes): one guard pass, six evaluations" `Quick
+      (fun () ->
+        let fx = fixture () in
+        let before = (Monitor.eval_stats fx.monitor).Cm_contracts.Runtime.evals in
+        let outcome = run fx fx.alice Meth.GET "/v3/myProject/volumes" () in
+        Alcotest.check conformance_testable "conform" Outcome.Conform
+          outcome.Outcome.conformance;
+        (* three branch guards, the authorization guard (true, so the
+           functional precondition is the precondition), the one
+           snapshot slot that is not a guard — pre(project.volumes
+           ->size()) — and the postcondition *)
+        Alcotest.(check int) "evals" 6
+          ((Monitor.eval_stats fx.monitor).Cm_contracts.Runtime.evals - before));
+    Alcotest.test_case "resumed exchange: phases do not overlap" `Quick
+      (fun () ->
+        (* Virtual time passes only inside the cloud, one ms per call,
+           so every nanosecond of the phases is a cloud call, and a
+           phase timed inside another would be counted twice. *)
+        let clock = Cm_core.Clock.create () in
+        let fx =
+          fixture
+            ~configure:(fun c ->
+              { c with
+                Monitor.strategy = Cm_contracts.Runtime.Full;
+                timings = true;
+                clock = Some clock
+              })
+            ~wrap:(fun backend req ->
+              Cm_core.Clock.advance clock 1;
+              backend req)
+            ()
+        in
+        let start = Cm_core.Clock.now clock in
+        let outcome =
+          Monitor.resume fx.monitor
+            (Request.make Meth.GET "/v3/myProject/volumes"
+            |> Request.with_auth_token fx.alice)
+            { Monitor.pi_pre_verdict = Cm_ocl.Eval.Holds;
+              pi_auth = Some Cm_ocl.Value.True;
+              pi_functional = Cm_ocl.Value.True;
+              pi_covered = [];
+              pi_snapshot = None
+            }
+        in
+        let elapsed_ns = float_of_int (Cm_core.Clock.now clock - start) *. 1e6 in
+        match outcome.Outcome.phases with
+        | None -> Alcotest.fail "no phases recorded"
+        | Some ph ->
+          Alcotest.(check bool) "pre-state observed" true
+            (ph.Outcome.observe_pre_ns > 0.);
+          Alcotest.(check (float 0.)) "snapshot costs no cloud time" 0.
+            ph.Outcome.eval_pre_ns;
+          Alcotest.(check (float 0.)) "phases sum to the elapsed time"
+            elapsed_ns (Outcome.phases_total ph))
+  ]
+
 let () =
   Alcotest.run "cm_monitor"
     [ ("observer", observer_tests);
@@ -631,5 +691,6 @@ let () =
       ("composition", composition_tests);
       ("interference", interference_tests);
       ("audit", audit_tests);
-      ("dispatch", dispatch_tests)
+      ("dispatch", dispatch_tests);
+      ("pre-phase", pre_phase_tests)
     ]
