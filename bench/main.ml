@@ -673,7 +673,9 @@ let section_resilience () =
   end
 
 let section_journal () =
-  banner "A11: durable event journal (append cost, 100k-event recovery scan)";
+  banner
+    "A11: durable event journal (append cost, 100k-event replay read and \
+     recovery)";
   let module Json = Cm_json.Json in
   let module Device = Cm_journal.Device in
   let module Journal = Cm_journal.Journal in
@@ -722,15 +724,35 @@ let section_journal () =
   let append_ns = append_s *. 1e9 /. float_of_int events in
   Printf.printf "append: %d events in %.1f ms (%.0f ns/event, %d syncs)\n"
     events (append_s *. 1000.) append_ns (Device.syncs device);
+  (* the replay read: every event fully decoded *)
   let t0 = Unix.gettimeofday () in
   let scanned, _clean = Journal.scan device in
   let scan_s = Unix.gettimeofday () -. t0 in
-  Printf.printf "recovery scan: %d events, %d bytes in %.1f ms\n"
+  Printf.printf "replay read (full decode): %d events, %d bytes in %.1f ms\n"
     (List.length scanned) (Device.size device) (scan_s *. 1000.);
+  (* recovery of the same device: CRC pass and header reads over the
+     whole history, decoding only what lacks a verdict (nothing here),
+     plus a monitor rebuild *)
+  let module Scenario = Cm_mutation.Scenario in
+  let jmake =
+    match Scenario.setup_journaled () with
+    | Error msgs -> failwith (String.concat "; " msgs)
+    | Ok ctx -> ctx.Scenario.jmake
+  in
+  let t0 = Unix.gettimeofday () in
+  let rep =
+    match Jmonitor.recover device jmake with
+    | Error msgs -> failwith (String.concat "; " msgs)
+    | Ok (_, rep) -> rep
+  in
+  let recover_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  Printf.printf "recovery: %d events scanned, %d decoded in %.1f ms (%.2f of \
+                 the replay read)\n"
+    rep.Jmonitor.events_scanned rep.Jmonitor.decoded recover_ms
+    (recover_ms /. (scan_s *. 1000.));
   (* end-to-end recovery of a real recorded run: scan + rebuild +
      finish the in-flight exchange *)
-  let module Scenario = Cm_mutation.Scenario in
-  let recover_ms =
+  let recover_standard_ms =
     match Scenario.setup_journaled () with
     | Error msgs -> failwith (String.concat "; " msgs)
     | Ok ctx ->
@@ -744,15 +766,16 @@ let section_journal () =
       (Unix.gettimeofday () -. t0) *. 1000.
   in
   Printf.printf "end-to-end recovery (standard trace, torn tail): %.2f ms\n"
-    recover_ms;
+    recover_standard_ms;
   if !json_output then begin
     let doc =
       Json.obj
         [ ("events", Json.int events);
           ("append_ns_per_event", Json.float append_ns);
           ("scan_ms", Json.float (scan_s *. 1000.));
+          ("recover_ms", Json.float recover_ms);
           ("journal_bytes", Json.int (Device.size device));
-          ("recover_standard_ms", Json.float recover_ms)
+          ("recover_standard_ms", Json.float recover_standard_ms)
         ]
     in
     let oc = open_out "BENCH_journal.json" in

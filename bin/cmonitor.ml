@@ -721,9 +721,9 @@ let recover list_sites site nth matrix domains seed json_path =
         (if r.Campaign.xr_fired then "fired" else "NOT REACHED");
       Printf.printf
         "recovery: %d verdicts, %d resumed in-flight, %d re-handled, %dB \
-         torn tail discarded\n"
+         torn tail discarded, %d events decoded\n"
         r.Campaign.xr_verdicts r.Campaign.xr_resumed r.Campaign.xr_rehandled
-        r.Campaign.xr_discarded_bytes;
+        r.Campaign.xr_discarded_bytes r.Campaign.xr_decoded;
       let clean =
         r.Campaign.xr_duplicates = [] && r.Campaign.xr_lost = []
         && r.Campaign.xr_mismatches = [] && not r.Campaign.xr_killed

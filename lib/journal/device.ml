@@ -46,5 +46,6 @@ let truncate t n =
   t.durable <- min t.durable n
 
 let contents t = Buffer.contents t.buf
+let sub t ~off ~len = Buffer.sub t.buf off len
 let syncs t = t.syncs
 let crashes t = t.crashes

@@ -45,6 +45,10 @@ val truncate : t -> int -> unit
 val contents : t -> string
 (** Every byte currently on the device (synced or not). *)
 
+val sub : t -> off:int -> len:int -> string
+(** The [len] bytes at [off] — a read of one record, without copying
+    the rest of the device.  Raises [Invalid_argument] out of bounds. *)
+
 val size : t -> int
 val durable_size : t -> int
 

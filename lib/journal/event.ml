@@ -18,9 +18,107 @@ type t =
   | Verdict of verdict_record
   | Mark of { seq : int; note : string }
 
+type kind = Request_kind | Pre_kind | Verdict_kind | Mark_kind
+
 let seq = function
   | Request { seq; _ } | Pre { seq; _ } | Mark { seq; _ } -> seq
   | Verdict v -> v.v_seq
+
+let kind = function
+  | Request _ -> Request_kind
+  | Pre _ -> Pre_kind
+  | Verdict _ -> Verdict_kind
+  | Mark _ -> Mark_kind
+
+(* ---- the header line: [tag ' ' seq [' ' len ':' rid] '\n'] ---- *)
+
+(* Only a Verdict's header carries its key: recovery indexes verdicts by
+   key from headers alone, while the few requests it finishes are
+   decoded in full anyway.  Keeping the key out of the other headers
+   keeps the journal's growth per exchange small. *)
+let header_rid = function
+  | Verdict v -> v.v_rid
+  | Request _ | Pre _ | Mark _ -> ""
+
+let tag_of_kind = function
+  | Request_kind -> 'r'
+  | Pre_kind -> 'p'
+  | Verdict_kind -> 'v'
+  | Mark_kind -> 'm'
+
+let add_header b ev =
+  let k = kind ev in
+  Buffer.add_char b (tag_of_kind k);
+  Buffer.add_char b ' ';
+  Buffer.add_string b (string_of_int (seq ev));
+  (match ev with
+   | Verdict { v_rid; _ } ->
+       Buffer.add_char b ' ';
+       Buffer.add_string b (string_of_int (String.length v_rid));
+       Buffer.add_char b ':';
+       Buffer.add_string b v_rid
+   | Request _ | Pre _ | Mark _ -> ());
+  Buffer.add_char b '\n'
+
+(* Numbers in a header have at most 18 digits, so they never overflow
+   and need no allocation to parse; a leading zero is rejected, keeping
+   the header canonical (decode . encode is the identity on bytes). *)
+let max_digits = 18
+
+(* End of the canonical decimal at [pos] (before [stop]), or -1. *)
+let digits_end s pos stop =
+  let rec go i =
+    if i < stop && i - pos <= max_digits && s.[i] >= '0' && s.[i] <= '9' then
+      go (i + 1)
+    else i
+  in
+  let e = go pos in
+  if e = pos || e - pos > max_digits || (s.[pos] = '0' && e - pos > 1) then -1
+  else e
+
+let digits_value s pos e =
+  let rec go i acc =
+    if i = e then acc else go (i + 1) ((acc * 10) + Char.code s.[i] - 48)
+  in
+  go pos 0
+
+(* [Some (kind, seq, rid, body)] where [body] is the offset of the JSON
+   body, when the [len] bytes at [off] start with a well-formed header. *)
+let header s ~off ~len =
+  let stop = off + len in
+  if off < 0 || len < 4 || stop > String.length s || s.[off + 1] <> ' ' then
+    None
+  else
+    let kind =
+      match s.[off] with
+      | 'r' -> Some Request_kind
+      | 'p' -> Some Pre_kind
+      | 'v' -> Some Verdict_kind
+      | 'm' -> Some Mark_kind
+      | _ -> None
+    in
+    let e = digits_end s (off + 2) stop in
+    match kind with
+    | None -> None
+    | Some _ when e < 0 || e >= stop -> None
+    | Some kind -> (
+        let seq = digits_value s (off + 2) e in
+        match kind with
+        | Request_kind | Pre_kind | Mark_kind ->
+            if s.[e] = '\n' then Some (kind, seq, "", e + 1) else None
+        | Verdict_kind ->
+            let le = if s.[e] = ' ' then digits_end s (e + 1) stop else -1 in
+            if le < 0 || le >= stop || s.[le] <> ':' then None
+            else
+              let rlen = digits_value s (e + 1) le in
+              let nl = le + 1 + rlen in
+              if nl >= stop || s.[nl] <> '\n' then None
+              else Some (kind, seq, String.sub s (le + 1) rlen, nl + 1))
+
+let peek s ~off ~len =
+  match header s ~off ~len with
+  | Some (kind, seq, rid, _) -> Some (kind, seq, rid)
+  | None -> None
 
 (* Options are wrapped in a singleton list ([Null] = absent) so that
    [Some Null] bodies survive a round-trip. *)
@@ -103,6 +201,8 @@ let dec_strings = function
   | _ -> None
 
 let encode ev =
+  let b = Buffer.create 256 in
+  add_header b ev;
   let json =
     match ev with
     | Request { seq; rid; req } ->
@@ -147,7 +247,8 @@ let encode ev =
         J.Obj
           [ ("t", J.String "mark"); ("seq", J.Int seq); ("note", J.String note) ]
   in
-  Cm_json.Printer.to_string json
+  Cm_json.Printer.to_buffer b json;
+  Buffer.contents b
 
 let field name j = J.member name j
 let str name j = Option.bind (field name j) J.to_string
@@ -222,10 +323,26 @@ let decode_json j =
       Some (Mark { seq; note })
   | _ -> None
 
-let decode payload =
-  match Cm_json.Parser.parse payload with
-  | Error _ -> None
-  | Ok j -> ( try decode_json j with _ -> None)
+(* The header must agree with the body it announces: a frame that
+   recovery classified by its header decodes to that same event or not
+   at all. *)
+let decode_at s ~off ~len =
+  match header s ~off ~len with
+  | None -> None
+  | Some (kind', seq', rid', body) -> (
+      match Cm_json.Parser.parse_sub s ~off:body ~len:(off + len - body) with
+      | Error _ -> None
+      | Ok j -> (
+          match try decode_json j with _ -> None with
+          | Some ev
+            when kind ev = kind'
+                 && seq ev = seq'
+                 && String.equal (header_rid ev) rid'
+            ->
+              Some ev
+          | Some _ | None -> None))
+
+let decode payload = decode_at payload ~off:0 ~len:(String.length payload)
 
 let verdict_line v =
   Printf.sprintf "%d %s %s %s %d %s %s [%s] %s" v.v_seq v.v_rid v.v_meth

@@ -19,7 +19,9 @@ type t = {
   mutable next_seq : int;
   mutable current : int option;  (* seq of the in-flight exchange *)
   mutable unsynced_verdicts : int;
-  mutable verdict_log : Event.verdict_record list;  (* newest first *)
+  verdict_frames : (string, int * int) Hashtbl.t;
+      (* rid -> payload span of its latest Verdict frame on the device:
+         the journal is the verdict store, this is only its index *)
 }
 
 let monitor t = t.monitor
@@ -48,7 +50,8 @@ let barrier t =
   t.unsynced_verdicts <- 0;
   Crash.at t.crash "journal.after-sync"
 
-let make_instance ?(batch = 8) ?crash device (make : make) =
+let make_instance ?(batch = 8) ?crash
+    ?(verdict_frames = Hashtbl.create 64) device (make : make) =
   let journal = Journal.create device in
   let cell = ref None in
   let with_t f = match !cell with Some t -> f t | None -> () in
@@ -69,7 +72,7 @@ let make_instance ?(batch = 8) ?crash device (make : make) =
           next_seq = 1;
           current = None;
           unsynced_verdicts = 0;
-          verdict_log = [];
+          verdict_frames;
         }
       in
       cell := Some t;
@@ -93,15 +96,15 @@ let verdict_of ~seq ~rid (outcome : Outcome.t) =
 let emit t ~seq ~rid outcome =
   let v = verdict_of ~seq ~rid outcome in
   Crash.at t.crash "journal.before-verdict";
+  let off = Device.size (device t) + Record.header_length in
   Journal.append t.journal (Event.Verdict v);
+  Hashtbl.replace t.verdict_frames rid (off, Device.size (device t) - off);
   t.unsynced_verdicts <- t.unsynced_verdicts + 1;
   if t.unsynced_verdicts >= t.batch then begin
     Journal.sync t.journal;
     t.unsynced_verdicts <- 0
   end;
-  Crash.at t.crash "journal.after-verdict";
-  t.verdict_log <- v :: t.verdict_log;
-  v
+  Crash.at t.crash "journal.after-verdict"
 
 let handle t req =
   let seq = alloc t in
@@ -123,7 +126,7 @@ let handle t req =
   Crash.at t.crash "journal.after-request";
   t.current <- Some seq;
   let outcome = Monitor.handle t.monitor req in
-  let _v = emit t ~seq ~rid outcome in
+  emit t ~seq ~rid outcome;
   t.current <- None;
   outcome
 
@@ -137,75 +140,159 @@ let sync t =
   Journal.sync t.journal;
   t.unsynced_verdicts <- 0
 
-let verdicts t = List.rev t.verdict_log
+let verdicts t =
+  let data = Device.contents (device t) in
+  List.filter_map
+    (fun (off, len) ->
+      match Event.peek data ~off ~len with
+      | Some (Event.Verdict_kind, _, _) -> (
+          match Event.decode_at data ~off ~len with
+          | Some (Event.Verdict v) -> Some v
+          | Some (Event.Request _ | Event.Pre _ | Event.Mark _) | None -> None)
+      | Some _ | None -> None)
+    (fst (Record.spans data))
+
 let verdict_lines t = List.map Event.verdict_line (verdicts t)
 
 let verdict_for_rid t rid =
-  List.find_opt (fun v -> String.equal v.Event.v_rid rid) t.verdict_log
+  match Hashtbl.find_opt t.verdict_frames rid with
+  | Some (off, len) when off + len <= Device.size (device t) -> (
+      (* the rid check guards an index that outlived a crash of its
+         device: a frame now at that offset may belong to another key *)
+      match Event.decode (Device.sub (device t) ~off ~len) with
+      | Some (Event.Verdict v) when String.equal v.Event.v_rid rid -> Some v
+      | Some (Event.Request _ | Event.Pre _ | Event.Verdict _ | Event.Mark _)
+      | None ->
+          None)
+  | Some _ | None -> None
 
 type recovery = {
   events_scanned : int;
   discarded_bytes : int;
+  decoded : int;
   resumed : int;
   rehandled : int;
 }
 
+(* A pending exchange: journaled request, no durable verdict. *)
+type pending = {
+  p_seq : int;
+  p_rid : string;
+  p_req : Cm_http.Request.t;
+  p_image : Monitor.pre_image option;
+}
+
 let recover ?batch ?crash device make =
-  let events, clean = Journal.scan device in
-  let discarded = Device.size device - clean in
-  Journal.truncate_torn device clean;
-  match make_instance ?batch ?crash device make with
+  let data = Device.contents device in
+  let spans, framed = Record.spans data in
+  (* Classify every checksummed frame by its header alone.  The clean
+     prefix ends at the first frame that fails its CRC or whose header
+     does not peek.  A sequence number's Request, Pre and Verdict are
+     appended in that order, so [open_frames] only ever holds the
+     exchanges still in flight at the current frame. *)
+  (* sized for one verdict per exchange of (usually) three frames, so
+     the index never rehashes while it is built *)
+  let verdict_frames = Hashtbl.create ((List.length spans / 3) + 1) in
+  let open_frames = Hashtbl.create 8 in
+  let max_seq = ref 0 and scanned = ref 0 in
+  let rec classify = function
+    | [] -> framed
+    | (off, len) :: rest -> (
+        match Event.peek data ~off ~len with
+        | None -> off - Record.header_length
+        | Some (kind, seq, rid) ->
+            incr scanned;
+            max_seq := max !max_seq seq;
+            (match kind with
+            | Event.Request_kind -> Hashtbl.replace open_frames seq (off, len, None)
+            | Event.Pre_kind -> (
+                match Hashtbl.find_opt open_frames seq with
+                | Some (roff, rlen, _) ->
+                    Hashtbl.replace open_frames seq (roff, rlen, Some (off, len))
+                | None -> ())
+            | Event.Verdict_kind ->
+                Hashtbl.remove open_frames seq;
+                Hashtbl.replace verdict_frames rid (off, len)
+            | Event.Mark_kind -> ());
+            classify rest)
+  in
+  let clean = classify spans in
+  (* Decode only the requests without a durable verdict, and their
+     pre-images.  By the barrier-before-every-forward invariant at most
+     the last one can exist, but recovery handles any number soundly.
+     A checksummed frame whose header peeks but whose body does not
+     decode is not a torn write; recovery refuses rather than guess. *)
+  let decoded = ref 0 in
+  let decode off len =
+    incr decoded;
+    Event.decode_at data ~off ~len
+  in
+  let corrupt off =
+    Error
+      [
+        Printf.sprintf "journal: record at byte %d has a header but no event"
+          (off - Record.header_length);
+      ]
+  in
+  let rec pending acc = function
+    | [] -> Ok (List.rev acc)
+    | (off, len, pre) :: rest -> (
+        match decode off len with
+        | Some (Event.Request { seq; rid; req }) -> (
+            let p = { p_seq = seq; p_rid = rid; p_req = req; p_image = None } in
+            match pre with
+            | None -> pending (p :: acc) rest
+            | Some (poff, plen) -> (
+                match decode poff plen with
+                | Some (Event.Pre { image; _ }) ->
+                    pending ({ p with p_image = Some image } :: acc) rest
+                | Some (Event.Request _ | Event.Verdict _ | Event.Mark _)
+                | None ->
+                    corrupt poff))
+        | Some (Event.Pre _ | Event.Verdict _ | Event.Mark _) | None ->
+            corrupt off)
+  in
+  let in_journal_order =
+    Hashtbl.fold (fun _ frames acc -> frames :: acc) open_frames []
+    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+  in
+  match pending [] in_journal_order with
   | Error es -> Error es
-  | Ok t ->
-      (* Index the surviving history. *)
-      let concluded = Hashtbl.create 64 in
-      let pre_images = Hashtbl.create 8 in
-      let max_seq = ref 0 in
-      List.iter
-        (fun ev ->
-          max_seq := max !max_seq (Event.seq ev);
-          match ev with
-          | Event.Verdict v ->
-              Hashtbl.replace concluded v.Event.v_seq ();
-              t.verdict_log <- v :: t.verdict_log
-          | Event.Pre { seq; image } -> Hashtbl.replace pre_images seq image
-          | Event.Request _ | Event.Mark _ -> ())
-        events;
-      t.next_seq <- !max_seq + 1;
-      (* Finish every request without a durable verdict.  By the
-         barrier-before-every-forward invariant at most the last one
-         can exist, but recovery handles any number soundly. *)
-      let resumed = ref 0 and rehandled = ref 0 in
-      List.iter
-        (fun ev ->
-          match ev with
-          | Event.Request { seq; rid; req } when not (Hashtbl.mem concluded seq)
-            ->
+  | Ok pending -> (
+      let discarded = Device.size device - clean in
+      Journal.truncate_torn device clean;
+      match make_instance ?batch ?crash ~verdict_frames device make with
+      | Error es -> Error es
+      | Ok t ->
+          t.next_seq <- !max_seq + 1;
+          let resumed = ref 0 and rehandled = ref 0 in
+          List.iter
+            (fun p ->
               let outcome =
-                match Hashtbl.find_opt pre_images seq with
+                match p.p_image with
                 | Some image ->
                     incr resumed;
-                    Monitor.resume t.monitor req image
+                    Monitor.resume t.monitor p.p_req image
                 | None ->
                     (* Nothing durable was forwarded for this request
                        (no pre-image means no barrier ran after its
                        append), or it was uncontracted — either way a
                        fresh handle with the same rid is idempotent. *)
                     incr rehandled;
-                    Monitor.handle t.monitor req
+                    Monitor.handle t.monitor p.p_req
               in
-              ignore (emit t ~seq ~rid outcome)
-          | _ -> ())
-        events;
-      sync t;
-      Ok
-        ( t,
-          {
-            events_scanned = List.length events;
-            discarded_bytes = discarded;
-            resumed = !resumed;
-            rehandled = !rehandled;
-          } )
+              emit t ~seq:p.p_seq ~rid:p.p_rid outcome)
+            pending;
+          sync t;
+          Ok
+            ( t,
+              {
+                events_scanned = !scanned;
+                discarded_bytes = discarded;
+                decoded = !decoded;
+                resumed = !resumed;
+                rehandled = !rehandled;
+              } ))
 
 type step =
   | Replay_request of { seq : int; rid : string; req : Cm_http.Request.t }

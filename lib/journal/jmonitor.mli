@@ -14,6 +14,10 @@
     ends with {e exactly one} durable verdict per sequence number, and
     the verdict stream equals the crash-free run's.
 
+    The journal is the verdict store: an instance keeps no verdicts in
+    memory, only an index from idempotency key to the device offset of
+    that key's latest [Verdict] frame.
+
     Crash-point injection: when a {!Cm_core.Crash.t} is supplied, the
     wrapper announces the sites [journal.before-request],
     [journal.after-request], [journal.before-pre], [journal.after-pre],
@@ -68,21 +72,29 @@ val sync : t -> unit
 (** Explicit durability barrier (e.g. at clean shutdown). *)
 
 val verdicts : t -> Event.verdict_record list
-(** Every verdict this instance knows, oldest first — after
-    {!recover}, journaled history followed by resumed verdicts. *)
+(** Every verdict on the device, oldest first — after {!recover},
+    journaled history followed by resumed verdicts.  A query, not a
+    field: it checks every frame's CRC, reads every header and decodes
+    each [Verdict] frame, so it costs O(journal bytes) plus one JSON
+    decode per verdict.  Meant for audits and tests, not per-request
+    use. *)
 
 val verdict_lines : t -> string list
 (** {!verdicts} through {!Event.verdict_line}. *)
 
 val verdict_for_rid : t -> string -> Event.verdict_record option
-(** Latest verdict for an idempotency key.  A client that crashed
-    mid-call asks this after recovery: [Some v] means the exchange
-    completed (use the recorded response); [None] means it is safe to
-    re-issue with the same key. *)
+(** Latest verdict for an idempotency key: one table lookup and the
+    decode of one frame.  A client that crashed mid-call asks this
+    after recovery: [Some v] means the exchange completed (use the
+    recorded response); [None] means it is safe to re-issue with the
+    same key. *)
 
 type recovery = {
   events_scanned : int;  (** clean events found on the device *)
   discarded_bytes : int;  (** torn/corrupt tail dropped *)
+  decoded : int;
+      (** events fully decoded: the [Request] and [Pre] of each pending
+          exchange (0 after a clean shutdown, at most 2 after a crash) *)
   resumed : int;
       (** pending exchanges finished via [Monitor.resume] (their
           pre-image was durable) *)
@@ -98,9 +110,18 @@ val recover :
   Device.t ->
   make ->
   (t * recovery, string list) result
-(** Restart from a crashed device: scan, drop the torn tail, rebuild a
-    fresh monitor, finish every request that lacks a durable verdict
-    (exactly-once by sequence number), sync.  The returned instance
+(** Restart from a crashed device: check every frame's CRC and read
+    its header ({!Record.spans}, {!Event.peek}); the clean prefix ends
+    at the first frame that fails its CRC or whose header does not
+    peek, and the rest is dropped.  From the headers alone recovery
+    learns the concluded sequence numbers, the highest one and the
+    verdict index; it then decodes only the [Request] and [Pre] frames
+    of requests that lack a durable verdict, rebuilds a fresh monitor,
+    finishes each of them (exactly-once by sequence number) and syncs.
+    Cost: CRC linear in journal bytes, decoding linear in pending
+    exchanges.  [Error] when the monitor cannot be built, or when a
+    pending exchange's frame has a valid header but does not decode
+    (a writer fault, not a torn write).  The returned instance
     continues the journal where the crash left it. *)
 
 (** {2 Replay helpers}

@@ -11,21 +11,19 @@ let sync t = Device.sync t.device
 let appended t = t.appended
 
 let scan device =
-  let payloads, clean = Record.scan (Device.contents device) in
-  (* Decode the frame-clean prefix; a payload that frames correctly but
-     is not an event ends the trustworthy prefix (recompute the byte
-     offset of the first rejected record from the payload lengths). *)
-  let rec loop payloads pos acc =
-    match payloads with
+  let data = Device.contents device in
+  let spans, clean = Record.spans data in
+  (* A payload that frames correctly but is not an event ends the
+     trustworthy prefix at its frame's start. *)
+  let rec loop spans acc =
+    match spans with
     | [] -> (List.rev acc, clean)
-    | payload :: rest -> (
-        match Event.decode payload with
-        | Some ev ->
-            loop rest (pos + Record.header_length + String.length payload)
-              (ev :: acc)
-        | None -> (List.rev acc, pos))
+    | (off, len) :: rest -> (
+        match Event.decode_at data ~off ~len with
+        | Some ev -> loop rest (ev :: acc)
+        | None -> (List.rev acc, off - Record.header_length))
   in
-  loop payloads 0 []
+  loop spans []
 
 let truncate_torn device clean =
   Device.truncate device clean;

@@ -1,55 +1,87 @@
 let magic = "J1"
 let header_length = 10
 
-(* IEEE CRC-32, bytewise table.  Hand-rolled: the toolchain image has no
-   zlib binding, and ten lines of table generation beat a dependency. *)
-let table =
+(* IEEE CRC-32, slice-by-8.  Hand-rolled: the toolchain image has no
+   zlib binding.  [tables] holds eight 256-entry tables back to back:
+   table 0 is the classic bytewise table, and table k advances a byte
+   through k further zero bytes, so one step folds eight input bytes
+   with eight lookups instead of eight dependent shift-and-lookups. *)
+let tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
+       done
+     done;
+     t)
 
-let crc32 s =
-  let table = Lazy.force table in
+let le32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
+
+let crc32_at s ~off ~len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Record.crc32_at";
+  let t = Lazy.force tables in
+  (* every index below is masked to a byte, so it stays inside its table *)
+  let tb k i = Array.unsafe_get t ((k lsl 8) lor (i land 0xFF)) in
   let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
+  let pos = ref off in
+  let stop8 = off + (len land lnot 7) in
+  while !pos < stop8 do
+    let lo = !c lxor le32 s !pos in
+    let hi = le32 s (!pos + 4) in
+    c :=
+      tb 7 lo
+      lxor tb 6 (lo lsr 8)
+      lxor tb 5 (lo lsr 16)
+      lxor tb 4 (lo lsr 24)
+      lxor tb 3 hi
+      lxor tb 2 (hi lsr 8)
+      lxor tb 1 (hi lsr 16)
+      lxor tb 0 (hi lsr 24);
+    pos := !pos + 8
+  done;
+  for i = stop8 to off + len - 1 do
+    c := tb 0 (!c lxor Char.code (String.unsafe_get s i)) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
 
-let put_le32 b v =
-  for i = 0 to 3 do
-    Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xFF))
-  done
-
-let get_le32 s pos =
-  let byte i = Char.code s.[pos + i] in
-  byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
+let crc32 s = crc32_at s ~off:0 ~len:(String.length s)
 
 let frame payload =
-  let b = Buffer.create (header_length + String.length payload) in
-  Buffer.add_string b magic;
-  put_le32 b (String.length payload);
-  put_le32 b (crc32 payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let plen = String.length payload in
+  let b = Bytes.create (header_length + plen) in
+  Bytes.blit_string magic 0 b 0 2;
+  Bytes.set_int32_le b 2 (Int32.of_int plen);
+  Bytes.set_int32_le b 6 (Int32.of_int (crc32 payload));
+  Bytes.blit_string payload 0 b header_length plen;
+  Bytes.unsafe_to_string b
 
-let scan data =
+let spans data =
   let len = String.length data in
   let rec loop pos acc =
-    if pos + header_length > len then (List.rev acc, pos)
-    else if not (String.equal (String.sub data pos 2) magic) then
-      (List.rev acc, pos)
+    if
+      pos + header_length > len
+      || data.[pos] <> magic.[0]
+      || data.[pos + 1] <> magic.[1]
+    then (List.rev acc, pos)
     else
-      let plen = get_le32 data (pos + 2) in
-      let crc = get_le32 data (pos + 6) in
-      if plen < 0 || pos + header_length + plen > len then (List.rev acc, pos)
-      else
-        let payload = String.sub data (pos + header_length) plen in
-        if crc32 payload <> crc then (List.rev acc, pos)
-        else loop (pos + header_length + plen) (payload :: acc)
+      let plen = le32 data (pos + 2) in
+      let off = pos + header_length in
+      if plen > len - off || crc32_at data ~off ~len:plen <> le32 data (pos + 6)
+      then (List.rev acc, pos)
+      else loop (off + plen) ((off, plen) :: acc)
   in
   loop 0 []
+
+let scan data =
+  let spans, clean = spans data in
+  (List.map (fun (off, len) -> String.sub data off len) spans, clean)

@@ -5,12 +5,12 @@ let pp_error ppf { position; message } =
 
 exception Parse_error of error
 
-type state = { input : string; mutable pos : int }
+type state = { input : string; limit : int; mutable pos : int }
 
 let fail st message = raise (Parse_error { position = st.pos; message })
 
 let peek st =
-  if st.pos < String.length st.input then Some st.input.[st.pos] else None
+  if st.pos < st.limit then Some st.input.[st.pos] else None
 
 let advance st = st.pos <- st.pos + 1
 
@@ -30,7 +30,7 @@ let rec skip_ws st =
 let expect_keyword st keyword value =
   let len = String.length keyword in
   if
-    st.pos + len <= String.length st.input
+    st.pos + len <= st.limit
     && String.sub st.input st.pos len = keyword
   then begin
     st.pos <- st.pos + len;
@@ -236,8 +236,8 @@ and parse_list st =
     Json.List (elements [])
   end
 
-let parse input =
-  let st = { input; pos = 0 } in
+let parse_sub input ~off ~len =
+  let st = { input; limit = off + len; pos = off } in
   match
     let value = parse_value st in
     skip_ws st;
@@ -248,6 +248,8 @@ let parse input =
   with
   | value -> Ok value
   | exception Parse_error err -> Error err
+
+let parse input = parse_sub input ~off:0 ~len:(String.length input)
 
 let parse_exn input =
   match parse input with

@@ -14,5 +14,11 @@ val parse : string -> (Json.t, error) result
 (** Parse a complete JSON document.  Trailing garbage after the document is
     an error. *)
 
+val parse_sub : string -> off:int -> len:int -> (Json.t, error) result
+(** [parse_sub s ~off ~len] parses the complete document occupying the
+    [len] bytes of [s] at [off], in place (no copy of the slice); error
+    positions are offsets into [s].  Requires
+    [0 <= off <= off + len <= String.length s]. *)
+
 val parse_exn : string -> Json.t
 (** Like {!parse} but raises [Failure] with a formatted message. *)

@@ -20,8 +20,7 @@ let float_repr f =
   if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.17g" f
 
-let to_string json =
-  let buf = Buffer.create 256 in
+let to_buffer buf json =
   let rec emit = function
     | Json.Null -> Buffer.add_string buf "null"
     | Json.Bool b -> Buffer.add_string buf (string_of_bool b)
@@ -47,7 +46,11 @@ let to_string json =
         members;
       Buffer.add_char buf '}'
   in
-  emit json;
+  emit json
+
+let to_string json =
+  let buf = Buffer.create 256 in
+  to_buffer buf json;
   Buffer.contents buf
 
 let to_string_pretty ?(indent = 2) json =

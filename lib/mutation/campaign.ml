@@ -324,6 +324,7 @@ type crash_run = {
   xr_resumed : int;
   xr_rehandled : int;
   xr_discarded_bytes : int;
+  xr_decoded : int;
 }
 
 let journal_violations verdicts =
@@ -382,6 +383,7 @@ let run_crash_one_with ~setup ~trace ?(seed = 42) ~index ~site ~nth profile
       Cm_core.Crash.arm crash_ctl ~site ~nth;
       let fired = ref false in
       let resumed = ref 0 and rehandled = ref 0 and discarded = ref 0 in
+      let decoded = ref 0 in
       let recovery_error = ref None in
       (try ignore (Scenario.jrun_trace ctx trace)
        with Cm_core.Crash.Crashed _ ->
@@ -392,6 +394,7 @@ let run_crash_one_with ~setup ~trace ?(seed = 42) ~index ~site ~nth profile
             resumed := r.Cm_journal.Jmonitor.resumed;
             rehandled := r.Cm_journal.Jmonitor.rehandled;
             discarded := r.Cm_journal.Jmonitor.discarded_bytes;
+            decoded := r.Cm_journal.Jmonitor.decoded;
             ignore (Scenario.jrun_trace ctx trace)
           | Error msgs -> recovery_error := Some msgs));
       match !recovery_error with
@@ -451,7 +454,8 @@ let run_crash_one_with ~setup ~trace ?(seed = 42) ~index ~site ~nth profile
             xr_mismatches = mismatches;
             xr_resumed = !resumed;
             xr_rehandled = !rehandled;
-            xr_discarded_bytes = !discarded
+            xr_discarded_bytes = !discarded;
+            xr_decoded = !decoded
           }))
 
 let run_crash_one ?(cross = true) ?seed ~index ~site ~nth profile mutant =
@@ -513,12 +517,12 @@ let crash_matrix runs =
         | None -> if r.xr_killed then "DIRTY" else "clean"
         | Some _ -> if r.xr_killed then "yes" else "NO"
       in
-      line "%-14s %-26s %-30s %-6b %-8s %-4d %-4d %-4d res=%d reh=%d torn=%dB"
+      line "%-14s %-26s %-30s %-6b %-8s %-4d %-4d %-4d res=%d reh=%d torn=%dB dec=%d"
         r.xr_profile r.xr_site name r.xr_fired killed_cell
         (List.length r.xr_duplicates)
         (List.length r.xr_lost)
         (List.length r.xr_mismatches)
-        r.xr_resumed r.xr_rehandled r.xr_discarded_bytes;
+        r.xr_resumed r.xr_rehandled r.xr_discarded_bytes r.xr_decoded;
       List.iter
         (fun (rid, was, now) ->
           line "    MISMATCH %s: %s -> %s" rid was now)
@@ -549,7 +553,8 @@ let crash_to_json runs =
                    ("mismatches", Json.int (List.length r.xr_mismatches));
                    ("resumed", Json.int r.xr_resumed);
                    ("rehandled", Json.int r.xr_rehandled);
-                   ("discarded_bytes", Json.int r.xr_discarded_bytes)
+                   ("discarded_bytes", Json.int r.xr_discarded_bytes);
+                   ("decoded", Json.int r.xr_decoded)
                  ])
              runs) );
       ("ok", Json.bool (crash_ok runs))

@@ -142,6 +142,7 @@ type crash_run = {
   xr_resumed : int;  (** in-flight exchanges finished via [resume] *)
   xr_rehandled : int;
   xr_discarded_bytes : int;  (** torn tail recovery dropped *)
+  xr_decoded : int;  (** events recovery fully decoded *)
 }
 
 val run_crash_one :

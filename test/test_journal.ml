@@ -39,13 +39,35 @@ let fresh_device () =
   let clock = Clock.create () in
   Device.create ~clock ~seed:11 ()
 
+(* The textbook bytewise CRC-32 (IEEE, reflected), bit by bit: the
+   reference the slice-by-8 kernel must equal. *)
+let reference_crc32 s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+let random_bytes ~seed n =
+  let st = Random.State.make [| seed |] in
+  String.init n (fun _ -> Char.chr (Random.State.int st 256))
+
 let record_tests =
   [ Alcotest.test_case "frame/scan round-trip" `Quick (fun () ->
         let payloads = [ ""; "x"; String.make 300 'a'; "{\"k\":[1,2]}" ] in
         let data = String.concat "" (List.map Record.frame payloads) in
         let scanned, clean = Record.scan data in
         Alcotest.(check (list string)) "payloads" payloads scanned;
-        Alcotest.(check int) "clean offset" (String.length data) clean);
+        Alcotest.(check int) "clean offset" (String.length data) clean;
+        let spans, clean' = Record.spans data in
+        Alcotest.(check (list string))
+          "spans locate the payloads in place" payloads
+          (List.map (fun (off, len) -> String.sub data off len) spans);
+        Alcotest.(check int) "spans clean offset" clean clean');
     Alcotest.test_case "truncation at every byte offset" `Quick (fun () ->
         let payloads = [ "alpha"; ""; "gamma-gamma"; String.make 64 'z' ] in
         let frames = List.map Record.frame payloads in
@@ -115,10 +137,38 @@ let record_tests =
             Bytes.set b i (Char.chr (Char.code ch lxor 1));
             if Record.crc32 (Bytes.to_string b) = c then
               Alcotest.failf "collision flipping byte %d" i)
-          p)
+          p);
+    Alcotest.test_case "crc32 standard check value" `Quick (fun () ->
+        Alcotest.(check int) "crc32 \"123456789\"" 0xCBF43926
+          (Record.crc32 "123456789"));
+    Alcotest.test_case "slice-by-8 kernel equals the bytewise reference"
+      `Quick (fun () ->
+        let s = random_bytes ~seed:5 (64 + 8) in
+        for off = 0 to 7 do
+          for len = 0 to 64 do
+            let expect = reference_crc32 (String.sub s off len) in
+            Alcotest.(check int)
+              (Printf.sprintf "crc32_at off %d len %d" off len)
+              expect
+              (Record.crc32_at s ~off ~len);
+            Alcotest.(check int)
+              (Printf.sprintf "crc32 of the copy, off %d len %d" off len)
+              expect
+              (Record.crc32 (String.sub s off len))
+          done
+        done;
+        let big = random_bytes ~seed:6 (1 lsl 20) in
+        Alcotest.(check int) "1 MiB" (reference_crc32 big) (Record.crc32 big))
   ]
 
 (* ---- event serialization ---- *)
+
+(* Payloads that must neither decode nor peek. *)
+let garbage =
+  [ ""; "{}"; "[\"zzz\"]"; "[\"ver\"]"; "not json"; "[\"req\",1]";
+    "v 1 3:ab\n"; "v 1 2:ab"; "r 01 1:a\n{}"; "p 1"; "x 1\n{}"; "p -0\n{}";
+    "v 1 1234567890123456789:a\n{}"; "p 1234567890123456789\n{}";
+    "v 1\n{}"; "p 1 1:a\n{}"; "r 1 1:a\n{}"; "r  1\n{}" ]
 
 let event_tests =
   [ Alcotest.test_case "every recorded event round-trips" `Quick (fun () ->
@@ -155,7 +205,121 @@ let event_tests =
             match Event.decode s with
             | None -> ()
             | Some _ -> Alcotest.failf "garbage decoded: %s" s)
-          [ ""; "{}"; "[\"zzz\"]"; "[\"ver\"]"; "not json"; "[\"req\",1]" ])
+          garbage);
+    Alcotest.test_case "peek is total on garbage" `Quick (fun () ->
+        List.iter
+          (fun s ->
+            match Event.peek s ~off:0 ~len:(String.length s) with
+            | None -> ()
+            | Some _ -> Alcotest.failf "garbage peeked: %S" s)
+          garbage;
+        (* out-of-bounds slices are refused, not raised on *)
+        let p = Event.encode (Event.Mark { seq = 1; note = "n" }) in
+        List.iter
+          (fun (off, len) ->
+            match Event.peek p ~off ~len with
+            | None -> ()
+            | Some _ -> Alcotest.failf "slice %d+%d peeked" off len)
+          [ (-1, 4); (0, String.length p + 1); (String.length p, 4); (2, -3) ]);
+    Alcotest.test_case "header round-trips any rid" `Quick (fun () ->
+        let rids =
+          [ ""; "a b"; "x\ny"; "r\195\169seau-\226\156\147";
+            String.init 1024 (fun i -> Char.chr (i mod 256)) ]
+        in
+        List.iter
+          (fun rid ->
+            let req =
+              Cm_http.Request.make
+                ~headers:(Cm_http.Headers.of_list [ (Jmonitor.rid_header, rid) ])
+                Cm_http.Meth.GET "/v3/p/volumes"
+            in
+            let verdict =
+              { Event.v_seq = 812; v_rid = rid; v_meth = "GET";
+                v_path = "/v3/p/volumes"; v_status = 200;
+                v_conformance = "conform"; v_detail = ""; v_covered = [];
+                v_body = None }
+            in
+            List.iter
+              (fun (ev, kind, header_rid) ->
+                let enc = Event.encode ev in
+                (match Event.peek enc ~off:0 ~len:(String.length enc) with
+                 | Some (k, seq, r) ->
+                   Alcotest.(check bool) "peeked kind" true (k = kind);
+                   Alcotest.(check int) "peeked seq" (Event.seq ev) seq;
+                   Alcotest.(check string) "peeked rid" header_rid r
+                 | None -> Alcotest.failf "does not peek: %S" enc);
+                match Event.decode enc with
+                | None -> Alcotest.failf "does not decode: %S" enc
+                | Some ev' ->
+                  let rid' =
+                    match ev' with
+                    | Event.Request { rid; _ } -> rid
+                    | Event.Verdict v -> v.Event.v_rid
+                    | Event.Pre _ | Event.Mark _ -> Alcotest.fail "kind"
+                  in
+                  Alcotest.(check string) "rid survives" rid rid';
+                  Alcotest.(check string) "re-encodes identically" enc
+                    (Event.encode ev'))
+              [ (Event.Request { seq = 811; rid; req }, Event.Request_kind, "");
+                (Event.Verdict verdict, Event.Verdict_kind, rid) ])
+          rids);
+    Alcotest.test_case "peek and decode are total on every truncation"
+      `Quick (fun () ->
+        let ctx = record_standard () in
+        let payloads, _ = Record.scan (Device.contents ctx.Scenario.jdevice) in
+        List.iter
+          (fun p ->
+            let full = Event.peek p ~off:0 ~len:(String.length p) in
+            let header_end = String.index p '\n' + 1 in
+            if full = None then Alcotest.failf "does not peek: %S" p;
+            for n = 0 to String.length p - 1 do
+              (* a cut inside the header line leaves no header; a cut in
+                 the body leaves the header intact but no event *)
+              let peeked = Event.peek p ~off:0 ~len:n in
+              if n < header_end then begin
+                if peeked <> None then
+                  Alcotest.failf "cut %d of %S peeked" n p
+              end
+              else if peeked <> full then
+                Alcotest.failf "cut %d of %S changed the header" n p;
+              if Event.decode (String.sub p 0 n) <> None then
+                Alcotest.failf "cut %d of %S decoded" n p
+            done)
+          payloads);
+    Alcotest.test_case "decode refuses a header that disagrees with its body"
+      `Quick (fun () ->
+        let ctx = record_standard () in
+        let events, _ = Journal.scan ctx.Scenario.jdevice in
+        let body e =
+          let enc = Event.encode e in
+          let nl = String.index enc '\n' in
+          String.sub enc (nl + 1) (String.length enc - nl - 1)
+        in
+        let refuse what payload =
+          match Event.decode payload with
+          | None -> ()
+          | Some _ -> Alcotest.failf "%s decoded: %S" what payload
+        in
+        let first p = List.find p events in
+        (match first (function Event.Verdict _ -> true | _ -> false) with
+         | Event.Verdict v as e ->
+           let b = body e and rid = v.Event.v_rid and seq = v.Event.v_seq in
+           let hdr seq rid =
+             Printf.sprintf "v %d %d:%s\n" seq (String.length rid) rid
+           in
+           Alcotest.(check bool) "the honest header decodes" true
+             (Event.decode (hdr seq rid ^ b) <> None);
+           refuse "seq" (hdr (seq + 1) rid ^ b);
+           refuse "rid" (hdr seq (rid ^ "x") ^ b);
+           refuse "tag" (Printf.sprintf "r %d\n%s" seq b);
+           refuse "tag" (Printf.sprintf "m %d\n%s" seq b)
+         | _ -> assert false);
+        match first (function Event.Pre _ -> true | _ -> false) with
+        | Event.Pre { seq; _ } as e ->
+          refuse "pre as mark" (Printf.sprintf "m %d\n%s" seq (body e));
+          refuse "pre seq" (Printf.sprintf "p %d\n%s" (seq + 1) (body e));
+          refuse "pre with a rid" (Printf.sprintf "p %d 1:x\n%s" seq (body e))
+        | _ -> assert false)
   ]
 
 (* ---- device semantics ---- *)
@@ -244,7 +408,8 @@ let torn_tests =
               ~contents:(String.sub image 0 n)
               ~clock:ctx.Scenario.jclock ~seed:3 ()
           in
-          let events, _ = Journal.scan device in
+          let events, clean = Journal.scan device in
+          let size = Device.size device in
           let req_seqs =
             List.filter_map
               (function Event.Request { seq; _ } -> Some seq | _ -> None)
@@ -262,7 +427,11 @@ let torn_tests =
             | Error msgs ->
               Alcotest.failf "cut %d: recovery failed: %s" n
                 (String.concat "; " msgs)
-            | Ok (jm, _) -> jm
+            | Ok (jm, rep) ->
+              Alcotest.(check int)
+                (Printf.sprintf "cut %d: discarded bytes" n)
+                (size - clean) rep.Jmonitor.discarded_bytes;
+              jm
           in
           let recovered = Jmonitor.verdicts jm in
           let seqs = List.map (fun v -> v.Event.v_seq) recovered in
@@ -285,6 +454,73 @@ let torn_tests =
         done)
   ]
 
+(* ---- recovery reads headers, decodes the in-flight tail ---- *)
+
+let mount image =
+  Device.create ~contents:image ~clock:(Clock.create ()) ~seed:3 ()
+
+let recovery_tests =
+  [ Alcotest.test_case "clean shutdown: recovery decodes nothing" `Quick
+      (fun () ->
+        let ctx = record_standard () in
+        let image = Device.contents ctx.Scenario.jdevice in
+        let device = mount image in
+        let events, _ = Journal.scan device in
+        match Jmonitor.recover device ctx.Scenario.jmake with
+        | Error msgs -> Alcotest.fail (String.concat "; " msgs)
+        | Ok (jm, rep) ->
+          Alcotest.(check int) "decoded" 0 rep.Jmonitor.decoded;
+          Alcotest.(check int) "events scanned" (List.length events)
+            rep.Jmonitor.events_scanned;
+          Alcotest.(check int) "discarded" 0 rep.Jmonitor.discarded_bytes;
+          Alcotest.(check int) "resumed + rehandled" 0
+            (rep.Jmonitor.resumed + rep.Jmonitor.rehandled);
+          Alcotest.(check string) "device untouched" image
+            (Device.contents device);
+          Alcotest.(check (list string))
+            "verdicts" (Jmonitor.verdict_lines ctx.Scenario.jmon)
+            (Jmonitor.verdict_lines jm));
+    Alcotest.test_case "verdict_for_rid reads the journal" `Quick (fun () ->
+        let ctx = record_standard () in
+        let recovered =
+          match
+            Jmonitor.recover
+              (mount (Device.contents ctx.Scenario.jdevice))
+              ctx.Scenario.jmake
+          with
+          | Ok (jm, _) -> jm
+          | Error msgs -> Alcotest.fail (String.concat "; " msgs)
+        in
+        let verdicts = Jmonitor.verdicts ctx.Scenario.jmon in
+        Alcotest.(check bool) "verdicts recorded" true (verdicts <> []);
+        List.iter
+          (fun jm ->
+            List.iter
+              (fun (v : Event.verdict_record) ->
+                match Jmonitor.verdict_for_rid jm v.Event.v_rid with
+                | Some v' ->
+                  Alcotest.(check string) v.Event.v_rid (Event.verdict_line v)
+                    (Event.verdict_line v')
+                | None -> Alcotest.failf "no verdict for %s" v.Event.v_rid)
+              verdicts;
+            Alcotest.(check bool) "unknown key" true
+              (Jmonitor.verdict_for_rid jm "no-such-key" = None))
+          [ ctx.Scenario.jmon; recovered ]);
+    Alcotest.test_case "a pending record with a header but no event is refused"
+      `Quick (fun () ->
+        let ctx = record_standard () in
+        let image =
+          Device.contents ctx.Scenario.jdevice
+          ^ Record.frame "r 100000\n{not json"
+        in
+        let device = mount image in
+        (match Jmonitor.recover device ctx.Scenario.jmake with
+         | Ok _ -> Alcotest.fail "recovered from an undecodable request"
+         | Error _ -> ());
+        Alcotest.(check string) "device untouched" image
+          (Device.contents device))
+  ]
+
 (* ---- crash-point injection ---- *)
 
 let crash_tests =
@@ -303,6 +539,9 @@ let crash_tests =
             in
             Alcotest.(check bool)
               (site ^ ": crash fired") true run.Campaign.xr_fired;
+            if run.Campaign.xr_decoded > 2 then
+              Alcotest.failf "%s: recovery decoded %d events" site
+                run.Campaign.xr_decoded;
             if not (Campaign.crash_ok [ run ]) then
               Alcotest.failf "%s:\n%s" site (Campaign.crash_matrix [ run ]))
           Campaign.crash_sites);
@@ -383,6 +622,7 @@ let () =
       ("event", event_tests);
       ("device", device_tests);
       ("torn-tail", torn_tests);
+      ("recovery", recovery_tests);
       ("crash", crash_tests);
       ("replay", replay_tests);
       ("oracle", oracle_tests)
