@@ -413,7 +413,7 @@ let fuzz cases seed shrink oracle_name max_size corpus =
       | None ->
         Printf.eprintf "unknown oracle %S (expected all%s)\n" oracle_name
           (String.concat ""
-             (List.map (fun (o : O.t) -> "|" ^ o.name) O.all));
+             (List.map (fun (o : O.t) -> "|" ^ o.name) O.every));
         None
   in
   match oracles with
@@ -428,7 +428,7 @@ let fuzz cases seed shrink oracle_name max_size corpus =
            Printf.eprintf "corpus %s: %s\n" path msg;
            false
          | Ok entries ->
-           let still_failing = R.replay_corpus O.all entries in
+           let still_failing = R.replay_corpus O.every entries in
            Printf.printf "corpus: %d entries replayed, %d failing\n"
              (List.length entries)
              (List.length still_failing);
@@ -441,6 +441,14 @@ let fuzz cases seed shrink oracle_name max_size corpus =
     in
     let report = R.run ~oracles ~shrink ~max_size ~seed ~cases () in
     print_string (R.render report);
+    if List.memq O.lazy_observation oracles then begin
+      let compared, settled, both = O.lazy_differences () in
+      Printf.printf
+        "lazy: %d exchanges compared; permitted differences (forced \
+         Undefined/Degraded): %d with the lazy verdict definite, %d with \
+         it indefinite too\n"
+        compared settled both
+    end;
     (match corpus with
      | Some path when R.failed report ->
        List.iter (fun (f : O.failure) -> C.append path f.entry) report.failures;
@@ -460,7 +468,7 @@ let shrink_arg =
 let oracle_arg =
   let doc =
     "Which oracle to drive: all, engine, rbac, codegen, monitor, chaos, \
-     workload or journal."
+     workload, journal, or lazy (not part of all)."
   in
   Arg.(value & opt string "all" & info [ "oracle" ] ~docv:"NAME" ~doc)
 

@@ -530,11 +530,16 @@ let check_contention report =
 
 (* Conditional speedup gate: only a host that can actually run 2
    domains in parallel can fail it; a single-core host skips it (and
-   says so) instead of passing vacuously. *)
+   says so) instead of passing vacuously.  A row the gate itself
+   relabeled [Gate_failed] still counts: the gate ran on it. *)
 let speedup_gate_active report =
   report.rp_available_domains >= 2
   && List.exists
-       (fun p -> p.sp_domains > 1 && p.sp_invalid = None)
+       (fun p ->
+         p.sp_domains > 1
+         && (match p.sp_invalid with
+             | None | Some Gate_failed -> true
+             | Some Host_single_core -> false))
        report.rp_scaling
 
 let check_speedup report =

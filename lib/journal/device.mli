@@ -43,7 +43,14 @@ val truncate : t -> int -> unit
     this to drop a torn tail it has scanned past. *)
 
 val contents : t -> string
-(** Every byte currently on the device (synced or not). *)
+(** A copy of every byte currently on the device (synced or not).
+    Readers that only scan use {!with_view} instead. *)
+
+val with_view : t -> (string -> int -> 'a) -> 'a
+(** [with_view t f] is [f data len] where the first [len] bytes of
+    [data] are the device's bytes, read in place — no copy.  [data] is
+    valid only while [f] runs: it must not escape [f], and [f] must not
+    write to the device. *)
 
 val sub : t -> off:int -> len:int -> string
 (** The [len] bytes at [off] — a read of one record, without copying

@@ -141,7 +141,7 @@ let sync t =
   t.unsynced_verdicts <- 0
 
 let verdicts t =
-  let data = Device.contents (device t) in
+  Device.with_view (device t) @@ fun data len ->
   List.filter_map
     (fun (off, len) ->
       match Event.peek data ~off ~len with
@@ -150,7 +150,7 @@ let verdicts t =
           | Some (Event.Verdict v) -> Some v
           | Some (Event.Request _ | Event.Pre _ | Event.Mark _) | None -> None)
       | Some _ | None -> None)
-    (fst (Record.spans data))
+    (fst (Record.spans ~len data))
 
 let verdict_lines t = List.map Event.verdict_line (verdicts t)
 
@@ -182,9 +182,12 @@ type pending = {
   p_image : Monitor.pre_image option;
 }
 
-let recover ?batch ?crash device make =
-  let data = Device.contents device in
-  let spans, framed = Record.spans data in
+(* The header pass and the decoding of pending exchanges read the
+   device in place; everything they keep is decoded out of it before
+   recovery writes to the device again. *)
+let scan_pending device =
+  Device.with_view device @@ fun data len ->
+  let spans, framed = Record.spans ~len data in
   (* Classify every checksummed frame by its header alone.  The clean
      prefix ends at the first frame that fails its CRC or whose header
      does not peek.  A sequence number's Request, Pre and Verdict are
@@ -256,15 +259,20 @@ let recover ?batch ?crash device make =
     Hashtbl.fold (fun _ frames acc -> frames :: acc) open_frames []
     |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
   in
-  match pending [] in_journal_order with
+  Result.map
+    (fun pending -> (pending, clean, verdict_frames, !max_seq, !scanned, !decoded))
+    (pending [] in_journal_order)
+
+let recover ?batch ?crash device make =
+  match scan_pending device with
   | Error es -> Error es
-  | Ok pending -> (
+  | Ok (pending, clean, verdict_frames, max_seq, scanned, decoded) -> (
       let discarded = Device.size device - clean in
       Journal.truncate_torn device clean;
       match make_instance ?batch ?crash ~verdict_frames device make with
       | Error es -> Error es
       | Ok t ->
-          t.next_seq <- !max_seq + 1;
+          t.next_seq <- max_seq + 1;
           let resumed = ref 0 and rehandled = ref 0 in
           List.iter
             (fun p ->
@@ -287,9 +295,9 @@ let recover ?batch ?crash device make =
           Ok
             ( t,
               {
-                events_scanned = !scanned;
+                events_scanned = scanned;
                 discarded_bytes = discarded;
-                decoded = !decoded;
+                decoded;
                 resumed = !resumed;
                 rehandled = !rehandled;
               } ))

@@ -11,8 +11,8 @@ let sync t = Device.sync t.device
 let appended t = t.appended
 
 let scan device =
-  let data = Device.contents device in
-  let spans, clean = Record.spans data in
+  Device.with_view device @@ fun data len ->
+  let spans, clean = Record.spans ~len data in
   (* A payload that frames correctly but is not an event ends the
      trustworthy prefix at its frame's start. *)
   let rec loop spans acc =

@@ -65,8 +65,14 @@ let frame payload =
   Bytes.blit_string payload 0 b header_length plen;
   Bytes.unsafe_to_string b
 
-let spans data =
-  let len = String.length data in
+let spans ?len data =
+  let len =
+    match len with
+    | None -> String.length data
+    | Some len ->
+      if len < 0 || len > String.length data then invalid_arg "Record.spans";
+      len
+  in
   let rec loop pos acc =
     if
       pos + header_length > len

@@ -34,12 +34,14 @@ val crc32 : string -> int
 val frame : string -> string
 (** Wrap a payload in a frame. *)
 
-val spans : string -> (int * int) list * int
+val spans : ?len:int -> string -> (int * int) list * int
 (** [spans data] is [(spans, clean)]: [(offset, length)] of every
     well-formed record's payload inside [data], in order, and the byte
     offset at which the first damaged frame (if any) begins —
     [String.length data] when the whole string is clean.  Nothing is
-    copied. *)
+    copied.  [~len] limits the walk to the first [len] bytes of [data]
+    (a {!Device.with_view}); it raises [Invalid_argument] when it
+    exceeds the string. *)
 
 val scan : string -> string list * int
 (** {!spans}, with each payload copied out. *)

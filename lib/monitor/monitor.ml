@@ -111,6 +111,9 @@ type t = {
   mutable ph_forward : float;
   mutable ph_observe_post : float;
   mutable ph_eval_post : float;
+  fetch_ns : float ref;
+      (* time spent in observation GET thunks so far; a thunk forced
+         inside an evaluation phase is charged to observation *)
   mutable log : Outcome.t list;  (* newest first *)
 }
 
@@ -245,21 +248,20 @@ let create config backend =
                          ev.ev_writes ))
                analysis_events
            in
-           let prepared =
-             List.map
-               (fun c ->
-                 ( c.Contract.trigger,
-                   Runtime.prepare ~strategy:config.strategy
-                     ~engine:config.engine
-                     ?subscription:(subscription_for c) c ))
-               contract_list
+           let cache =
+             match config.cache with
+             | Obs_cache.Disabled -> None
+             | scope -> Some (Obs_cache.create scope)
            in
-           let by_trigger = Hashtbl.create (2 * List.length prepared + 1) in
-           List.iter
-             (fun (trigger, p) ->
-               if not (Hashtbl.mem by_trigger trigger) then
-                 Hashtbl.add by_trigger trigger p)
-             prepared;
+           let stopwatch =
+             if not config.timings then None
+             else
+               Some
+                 (match config.clock with
+                 | Some clock -> Cm_core.Stopwatch.Virtual clock
+                 | None -> Cm_core.Stopwatch.Wall)
+           in
+           let fetch_ns = ref 0. in
            let resilient =
              Option.map
                (fun policy ->
@@ -277,25 +279,37 @@ let create config backend =
              | Some r -> Resilience.backend r
              | None -> backend
            in
-           let cache =
-             match config.cache with
-             | Obs_cache.Disabled -> None
-             | scope -> Some (Obs_cache.create scope)
-           in
            let observer_base =
-             Observer.of_entries ~backend:obs_backend
-               ~token:config.service_token ~model:config.resources
-               ~project_id:"" entries
-             |> fun o -> Observer.with_cache o cache
+             let o =
+               Observer.of_entries ~backend:obs_backend
+                 ~token:config.service_token ~model:config.resources
+                 ~project_id:"" entries
+             in
+             let o = Observer.with_cache o cache in
+             match stopwatch with
+             | None -> o
+             | Some source ->
+               Observer.with_timer o (fun fetch ->
+                   let result, ns = Cm_core.Stopwatch.time_ns source fetch in
+                   fetch_ns := !fetch_ns +. ns;
+                   result)
            in
-           let stopwatch =
-             if not config.timings then None
-             else
-               Some
-                 (match config.clock with
-                 | Some clock -> Cm_core.Stopwatch.Virtual clock
-                 | None -> Cm_core.Stopwatch.Wall)
+           let cost = Observer.cost_model observer_base in
+           let prepared =
+             List.map
+               (fun c ->
+                 ( c.Contract.trigger,
+                   Runtime.prepare ~strategy:config.strategy
+                     ~engine:config.engine ~cost
+                     ?subscription:(subscription_for c) c ))
+               contract_list
            in
+           let by_trigger = Hashtbl.create (2 * List.length prepared + 1) in
+           List.iter
+             (fun (trigger, p) ->
+               if not (Hashtbl.mem by_trigger trigger) then
+                 Hashtbl.add by_trigger trigger p)
+             prepared;
            Ok
              { config;
                backend;
@@ -317,6 +331,7 @@ let create config backend =
                ph_forward = 0.;
                ph_observe_post = 0.;
                ph_eval_post = 0.;
+               fetch_ns;
                log = []
              }
          end)
@@ -475,17 +490,26 @@ let project_of t req = Option.bind (classify t req) (fun c -> c.request_project)
 
 (* ---- phase timing ---- *)
 
+(* Observation is lazy: GETs run inside the evaluation that first reads
+   their state.  Their time is charged to the observation phase of the
+   same side of the forward, and only the rest to evaluation. *)
 let timed t slot f =
   match t.stopwatch with
   | None -> f ()
   | Some source ->
+    let fetched_before = !(t.fetch_ns) in
     let result, ns = Cm_core.Stopwatch.time_ns source f in
+    let fetched = !(t.fetch_ns) -. fetched_before in
     (match slot with
     | `Observe_pre -> t.ph_observe_pre <- t.ph_observe_pre +. ns
-    | `Eval_pre -> t.ph_eval_pre <- t.ph_eval_pre +. ns
+    | `Eval_pre ->
+      t.ph_observe_pre <- t.ph_observe_pre +. fetched;
+      t.ph_eval_pre <- t.ph_eval_pre +. (ns -. fetched)
     | `Forward -> t.ph_forward <- t.ph_forward +. ns
     | `Observe_post -> t.ph_observe_post <- t.ph_observe_post +. ns
-    | `Eval_post -> t.ph_eval_post <- t.ph_eval_post +. ns);
+    | `Eval_post ->
+      t.ph_observe_post <- t.ph_observe_post +. fetched;
+      t.ph_eval_post <- t.ph_eval_post +. (ns -. fetched));
     result
 
 let reset_phases t =
@@ -509,7 +533,7 @@ let current_phases t =
 
 (* ---- observation ---- *)
 
-let observe_env ?request_body t classified prepared =
+let observe_source ?request_body t classified prepared =
   let project_id =
     Option.value ~default:"" classified.request_project
   in
@@ -528,7 +552,7 @@ let observe_env ?request_body t classified prepared =
     else observer
   in
   fun ~fresh ~user_token ->
-    Observer.env ~fresh ?item:classified.item ~bindings:classified.bindings
+    Observer.source ~fresh ?item:classified.item ~bindings:classified.bindings
       ?user_token ?request_body observer
 
 (* ---- verdict helpers ---- *)
@@ -590,20 +614,28 @@ let envs_equal a b =
   in
   canon a = canon b
 
-let stable_post_verdict t ~make_env ~user_token post_env post_verdict =
+let stable_post_verdict t ~make_source ~user_token post_obs post_verdict =
   match post_verdict with
   | Cm_ocl.Eval.Violated when t.config.stability_check ->
     (* [~fresh:true]: the re-observation must reach the cloud, not the
        observation cache, or concurrent interference could be masked by
-       replaying our own cached reads. *)
-    let second_env =
-      timed t `Observe_post (fun () -> make_env ~fresh:true ~user_token)
-    in
-    if envs_equal post_env second_env then post_verdict
-    else
-      Cm_ocl.Eval.Undefined_verdict
-        "state changed between observations: concurrent interference \
-         suspected"
+       replaying our own cached reads.  Both observations are compared
+       whole, so both are forced here. *)
+    (match
+       timed t `Observe_post (fun () ->
+           let post_env = Runtime.observed_env post_obs in
+           ( post_env,
+             (make_source ~fresh:true ~user_token).Cm_ocl.Compile.materialize
+               () ))
+     with
+     | post_env, second_env ->
+       if envs_equal post_env second_env then post_verdict
+       else
+         Cm_ocl.Eval.Undefined_verdict
+           "state changed between observations: concurrent interference \
+            suspected"
+     | exception Cm_ocl.Compile.Unobservable what ->
+       Cm_ocl.Eval.Undefined_verdict ("stability re-observation: " ^ what))
   | verdict -> verdict
 
 (* ---- the main flows ---- *)
@@ -869,12 +901,9 @@ let functional_tag tri = tri_tag "functional precondition undefined" tri
    the presence (or absence) of the effect cannot be attributed to this
    request, so claiming [Conform] or [Post_violated] here would be a
    coin-flip dressed as a verdict. *)
-let unknown_after_forward t ~prepared ~make_env ~user_token ~snapshot
-    ~pre_verdict ~covered ~requirements req failure =
-  let post_obs =
-    timed t `Observe_post (fun () ->
-        Runtime.observe prepared (make_env ~fresh:false ~user_token))
-  in
+let unknown_after_forward t ~prepared ~observe_now ~snapshot ~pre_verdict
+    ~covered ~requirements req failure =
+  let post_obs = timed t `Observe_post observe_now in
   let post_verdict =
     timed t `Eval_post (fun () ->
         Runtime.check_post_observed prepared snapshot post_obs)
@@ -907,11 +936,18 @@ let unknown_after_forward t ~prepared ~make_env ~user_token ~snapshot
    re-enters here with the *journaled* pre-image instead of re-running
    the pre-phase — after the effect is applied, re-observed guards
    would lie about the pre-state (a DELETE's item guard is false once
-   the item is gone). *)
-let conclude t prepared req ~user_token ~make_env ~observe_now ~pre_verdict
+   the item is gone).
+
+   The snapshot, the functional precondition and the pre-image read the
+   lazy pre-state frame, so whatever of them this exchange needs is
+   forced here, before the forward: an unread pre-state thunk forced
+   after it would fetch the post-state. *)
+let conclude t prepared req ~user_token ~make_source ~observe_now ~pre_verdict
     ~auth ~functional ~covered ~snapshot =
+  let snapshot = timed t `Eval_pre (fun () -> Lazy.force snapshot) in
   Option.iter
     (fun sink ->
+      let functional = timed t `Eval_pre (fun () -> Lazy.force functional) in
       sink
         { pi_pre_verdict = pre_verdict;
           pi_auth = auth;
@@ -922,7 +958,6 @@ let conclude t prepared req ~user_token ~make_env ~observe_now ~pre_verdict
     t.config.journal_pre;
   let contract = Runtime.contract prepared in
   let auth_tri = auth_tag auth in
-  let functional_tri = functional_tag functional in
   match t.config.mode with
   | Enforce ->
     (match forward t req with
@@ -933,14 +968,12 @@ let conclude t prepared req ~user_token ~make_env ~observe_now ~pre_verdict
          contract_requirements = contract.Contract.requirements
        }
      | Unknown_outcome failure ->
-       unknown_after_forward t ~prepared ~make_env ~user_token ~snapshot
-         ~pre_verdict ~covered
-         ~requirements:contract.Contract.requirements req failure
+       unknown_after_forward t ~prepared ~observe_now ~snapshot ~pre_verdict
+         ~covered ~requirements:contract.Contract.requirements req failure
      | Delivered cloud_response ->
        let post_obs = timed t `Observe_post observe_now in
        let post_verdict =
-         stable_post_verdict t ~make_env ~user_token
-           (Runtime.observed_env post_obs)
+         stable_post_verdict t ~make_source ~user_token post_obs
            (timed t `Eval_post (fun () ->
                 Runtime.check_post_observed prepared snapshot post_obs))
        in
@@ -1001,68 +1034,80 @@ let conclude t prepared req ~user_token ~make_env ~observe_now ~pre_verdict
          contract_requirements = contract.Contract.requirements
        }
      | Unknown_outcome failure ->
-       unknown_after_forward t ~prepared ~make_env ~user_token ~snapshot
-         ~pre_verdict ~covered
-         ~requirements:contract.Contract.requirements req failure
+       unknown_after_forward t ~prepared ~observe_now ~snapshot ~pre_verdict
+         ~covered ~requirements:contract.Contract.requirements req failure
      | Delivered cloud_response ->
-       let post_obs = timed t `Observe_post observe_now in
        let snapshot_bytes = Runtime.snapshot_bytes snapshot in
        let success = Response.is_success cloud_response in
+       (* A definite authorization False decides the exchange whatever
+          the functional precondition is: the cloud either performed a
+          request the specification forbids this subject, or refused
+          it.  Only then may an undefined guard make it Undefined. *)
        let conformance, post_verdict, detail =
-         match auth_tri, functional_tri with
-         | `Unknown hint, _ | _, `Unknown hint ->
-           (Outcome.Undefined hint, None, "precondition undefined")
-         | `False, _ ->
+         match auth_tri with
+         | `False ->
            if success then
              ( Outcome.Security_unauthorized_allowed,
                None,
                "specification forbids this subject, yet the cloud performed \
                 the request" )
            else (Outcome.Conform_denied, None, "")
-         | `True, `False ->
-           if success then
-             ( Outcome.Functional_wrongly_accepted,
-               None,
-               "behavioural precondition false, yet the cloud performed the \
-                request" )
-           else (Outcome.Conform_denied, None, "")
-         | `True, `True ->
-           if is_auth_failure cloud_response then
-             ( Outcome.Security_authorized_denied,
-               None,
-               "specification permits this subject, yet the cloud denied" )
-           else if not success then
-             ( Outcome.Functional_wrongly_rejected,
-               None,
-               Printf.sprintf "expected success, got %d"
-                 cloud_response.Response.status )
-           else if
-             not
-               (List.mem cloud_response.Response.status
-                  (expected_success_codes req.Request.meth))
-           then
-             ( Outcome.Functional_bad_status,
-               None,
-               Printf.sprintf "success status %d not in the expected set"
-                 cloud_response.Response.status )
-           else begin
-             let post_verdict =
-               stable_post_verdict t ~make_env ~user_token
-                 (Runtime.observed_env post_obs)
-                 (timed t `Eval_post (fun () ->
-                      Runtime.check_post_observed prepared snapshot post_obs))
-             in
-             match tri_of_verdict post_verdict with
-             | `True -> (Outcome.Conform, Some post_verdict, "")
-             | `False ->
-               ( Outcome.Post_violated,
-                 Some post_verdict,
-                 "postcondition violated" )
-             | `Unknown hint ->
-               ( Outcome.Undefined hint,
-                 Some post_verdict,
-                 "postcondition undefined" )
-           end
+         | `Unknown hint ->
+           (Outcome.Undefined hint, None, "precondition undefined")
+         | `True ->
+           (* under a True (or absent) authorization guard the pre-phase
+              derived the functional precondition from the guards, so
+              forcing it here, after the forward, reads no state *)
+           (match functional_tag (Lazy.force functional) with
+            | `Unknown hint ->
+              (Outcome.Undefined hint, None, "precondition undefined")
+            | `False ->
+              if success then
+                ( Outcome.Functional_wrongly_accepted,
+                  None,
+                  "behavioural precondition false, yet the cloud performed \
+                   the request" )
+              else (Outcome.Conform_denied, None, "")
+            | `True ->
+              if is_auth_failure cloud_response then
+                ( Outcome.Security_authorized_denied,
+                  None,
+                  "specification permits this subject, yet the cloud denied"
+                )
+              else if not success then
+                ( Outcome.Functional_wrongly_rejected,
+                  None,
+                  Printf.sprintf "expected success, got %d"
+                    cloud_response.Response.status )
+              else if
+                not
+                  (List.mem cloud_response.Response.status
+                     (expected_success_codes req.Request.meth))
+              then
+                ( Outcome.Functional_bad_status,
+                  None,
+                  Printf.sprintf "success status %d not in the expected set"
+                    cloud_response.Response.status )
+              else begin
+                (* the only arm that reads the post-state *)
+                let post_obs = timed t `Observe_post observe_now in
+                let post_verdict =
+                  stable_post_verdict t ~make_source ~user_token post_obs
+                    (timed t `Eval_post (fun () ->
+                         Runtime.check_post_observed prepared snapshot
+                           post_obs))
+                in
+                match tri_of_verdict post_verdict with
+                | `True -> (Outcome.Conform, Some post_verdict, "")
+                | `False ->
+                  ( Outcome.Post_violated,
+                    Some post_verdict,
+                    "postcondition violated" )
+                | `Unknown hint ->
+                  ( Outcome.Undefined hint,
+                    Some post_verdict,
+                    "postcondition undefined" )
+              end)
        in
        { (outcome_base req cloud_response (Some cloud_response) conformance
             detail)
@@ -1074,13 +1119,19 @@ let conclude t prepared req ~user_token ~make_env ~observe_now ~pre_verdict
          snapshot_bytes
        })
 
-let monitored t classified prepared req =
+(* [~force:true] is the eager reference: the same lazy observations,
+   each forced whole before anything is evaluated over it. *)
+let monitored ~force t classified prepared req =
   let user_token = Request.auth_token req in
-  let make_env =
-    observe_env ?request_body:req.Request.body t classified prepared
+  let make_source =
+    observe_source ?request_body:req.Request.body t classified prepared
   in
   let observe_now () =
-    Runtime.observe prepared (make_env ~fresh:false ~user_token)
+    let obs =
+      Runtime.observe_source prepared (make_source ~fresh:false ~user_token)
+    in
+    if force then Runtime.force obs;
+    obs
   in
   let pre_obs = timed t `Observe_pre observe_now in
   let contract = Runtime.contract prepared in
@@ -1088,7 +1139,7 @@ let monitored t classified prepared req =
     timed t `Eval_pre (fun () -> Runtime.pre_phase prepared pre_obs)
   in
   let conclude_now () =
-    conclude t prepared req ~user_token ~make_env ~observe_now ~pre_verdict
+    conclude t prepared req ~user_token ~make_source ~observe_now ~pre_verdict
       ~auth ~functional ~covered ~snapshot
   in
   match t.config.mode with
@@ -1117,13 +1168,13 @@ let monitored t classified prepared req =
      | `True -> conclude_now ())
   | Oracle -> conclude_now ()
 
-let handle_inner t req =
+let handle_inner ~force t req =
   match classify t req with
   | None -> not_monitored t req
   | Some classified ->
     (match prepared_for t classified.trigger with
      | None -> no_contract t classified req
-     | Some prepared -> monitored t classified prepared req)
+     | Some prepared -> monitored ~force t classified prepared req)
 
 (* Recovery re-entry: finish a request whose pre-phase already ran (and
    was journaled) before a crash.  Re-forwarding is idempotent by the
@@ -1139,11 +1190,11 @@ let resume_inner t req (image : pre_image) =
      | None -> no_contract t classified req
      | Some prepared ->
        let user_token = Request.auth_token req in
-       let make_env =
-         observe_env ?request_body:req.Request.body t classified prepared
+       let make_source =
+         observe_source ?request_body:req.Request.body t classified prepared
        in
        let observe_now () =
-         Runtime.observe prepared (make_env ~fresh:false ~user_token)
+         Runtime.observe_source prepared (make_source ~fresh:false ~user_token)
        in
        let snapshot =
          match image.pi_snapshot with
@@ -1155,9 +1206,10 @@ let resume_inner t req (image : pre_image) =
            let pre_obs = timed t `Observe_pre observe_now in
            timed t `Eval_pre (fun () -> Runtime.take_snapshot prepared pre_obs)
        in
-       conclude t prepared req ~user_token ~make_env ~observe_now
+       conclude t prepared req ~user_token ~make_source ~observe_now
          ~pre_verdict:image.pi_pre_verdict ~auth:image.pi_auth
-         ~functional:image.pi_functional ~covered:image.pi_covered ~snapshot)
+         ~functional:(Lazy.from_val image.pi_functional)
+         ~covered:image.pi_covered ~snapshot:(Lazy.from_val snapshot))
 
 (* Per-request exception containment.  A transport failure that escapes
    (no resilience layer configured) degrades the exchange; any other
@@ -1204,6 +1256,7 @@ let contained t req run =
            None (Outcome.Monitor_error detail) detail)
     end
 
-let handle t req = contained t req (fun () -> handle_inner t req)
+let handle t req = contained t req (fun () -> handle_inner ~force:false t req)
+let handle_forced t req = contained t req (fun () -> handle_inner ~force:true t req)
 let resume t req image = contained t req (fun () -> resume_inner t req image)
 let handle_response t req = (handle t req).Outcome.response

@@ -164,6 +164,12 @@ val handle : t -> Cm_http.Request.t -> Outcome.t
     internal exception is contained per-request as [Monitor_error] —
     a monitor bug is never reported as a cloud violation. *)
 
+val handle_forced : t -> Cm_http.Request.t -> Outcome.t
+(** {!handle} with every observation forced whole before anything is
+    evaluated over it — the eager reference the lazy observation is
+    checked against.  The same frames and the same code; only the
+    laziness is gone. *)
+
 val resume : t -> Cm_http.Request.t -> pre_image -> Outcome.t
 (** Crash recovery: finish an exchange whose pre-phase already ran (and
     was journaled as [pre_image]) before the process died.  The request

@@ -46,7 +46,7 @@ let bootstrap () =
 (* Shared construction; [setup] instantiates it over the single-service
    Cinder models, [setup_cross] over the cross-service models and the
    extended security table. *)
-let setup_gen ~resources ~behavior ~table ~mode ~strategy ~engine
+let setup_gen ?transport ~resources ~behavior ~table ~mode ~strategy ~engine
     ~faults ~chaos:chaos_profile ~chaos_seed ~resilience ~degradation
     ~stability_check ~footprint_pruning ~cache () =
   let clock, cloud, service_token, tokens = bootstrap () in
@@ -61,9 +61,10 @@ let setup_gen ~resources ~behavior ~table ~mode ~strategy ~engine
       chaos_profile
   in
   let backend =
-    match chaos with
-    | Some c -> Cm_cloudsim.Chaos.backend c
-    | None -> Cloud.handle cloud
+    match chaos, transport with
+    | Some c, _ -> Cm_cloudsim.Chaos.backend c
+    | None, Some wrap -> wrap clock (Cloud.handle cloud)
+    | None, None -> Cloud.handle cloud
   in
   let security =
     { Cm_contracts.Generate.table;
@@ -83,8 +84,8 @@ let setup ?(mode = Monitor.Oracle) ?(strategy = Cm_contracts.Runtime.Lean)
     ?(engine = Cm_contracts.Runtime.Compiled)
     ?(faults = Cm_cloudsim.Faults.none) ?chaos ?chaos_seed ?resilience
     ?(degradation = Monitor.Fail_open_logged) ?(stability_check = false)
-    ?footprint_pruning ?cache () =
-  setup_gen ~resources:Cm_uml.Cinder_model.resources
+    ?footprint_pruning ?cache ?transport () =
+  setup_gen ?transport ~resources:Cm_uml.Cinder_model.resources
     ~behavior:Cm_uml.Cinder_model.behavior ~table:Cm_rbac.Security_table.cinder
     ~mode ~strategy ~engine ~faults ~chaos ~chaos_seed ~resilience
     ~degradation ~stability_check ~footprint_pruning ~cache ()
@@ -104,11 +105,11 @@ let token_of ctx user =
   | Some token -> token
   | None -> failwith ("no token for user " ^ user)
 
-let request ctx ~user meth path ?body () =
+let request ?(handle = Monitor.handle) ctx ~user meth path ?body () =
   let req =
     Request.make ?body meth path |> Request.with_auth_token (token_of ctx user)
   in
-  Monitor.handle ctx.monitor req
+  handle ctx.monitor req
 
 let created_volume_id (outcome : Cm_monitor.Outcome.t) =
   match outcome.cloud_response with

@@ -32,6 +32,11 @@ val setup :
   ?stability_check:bool ->
   ?footprint_pruning:bool ->
   ?cache:Cm_monitor.Obs_cache.scope ->
+  ?transport:
+    (Cm_core.Clock.t ->
+    (Cm_http.Request.t -> Cm_http.Response.t) ->
+    Cm_http.Request.t ->
+    Cm_http.Response.t) ->
   unit ->
   (ctx, string list) result
 (** Fresh simulated cloud seeded with the paper's [myProject] (three
@@ -44,7 +49,10 @@ val setup :
     [chaos] interposes an unreliable transport between monitor and
     cloud (seeded by [chaos_seed]); [resilience] makes the monitor
     forward through the retry/timeout/breaker layer; all three share
-    one virtual clock.  Logins during setup bypass the chaos layer. *)
+    one virtual clock.  Logins during setup bypass the chaos layer.
+    [transport] (ignored when [chaos] is given) wraps the cloud's
+    handler, with the shared clock, into the backend the monitor
+    sees. *)
 
 val setup_cross :
   ?mode:Cm_monitor.Monitor.mode ->
@@ -66,6 +74,7 @@ val setup_cross :
     and images in one specification. *)
 
 val request :
+  ?handle:(Cm_monitor.Monitor.t -> Cm_http.Request.t -> Cm_monitor.Outcome.t) ->
   ctx ->
   user:string ->
   Cm_http.Meth.t ->
@@ -73,7 +82,8 @@ val request :
   ?body:Cm_json.Json.t ->
   unit ->
   Cm_monitor.Outcome.t
-(** One request through the monitor, authenticated as the user. *)
+(** One request through the monitor, authenticated as the user;
+    [handle] (default {!Cm_monitor.Monitor.handle}) serves it. *)
 
 val created_volume_id : Cm_monitor.Outcome.t -> string option
 (** Extract the new volume's id from a creation outcome. *)

@@ -856,6 +856,175 @@ let journal =
     replay = journal_replay
   }
 
+(* ---- lazy: lazy observation against the forced frame ---- *)
+
+module Chaos = Cm_cloudsim.Chaos
+module Monitor = Cm_monitor.Monitor
+
+(* Exchanges compared, and the permitted differences among them (lazy
+   definite; lazy indefinite too), over every lazy case run by this
+   process. *)
+let lazy_compared = ref 0
+let lazy_settled = ref 0
+let lazy_both_indefinite = ref 0
+
+let lazy_differences () =
+  (!lazy_compared, !lazy_settled, !lazy_both_indefinite)
+
+(* A chaos transport whose faults are keyed by the request: each call
+   draws from a fresh stream seeded by (case seed, exchange, method,
+   path, credentials, occurrence within the exchange).  The same request
+   meets the same fault in the lazy and the forced run, however many
+   other requests either run sends — so the lazy run, whose
+   observation GETs are a subset of the forced run's, reads exactly the
+   responses the forced run read for them.  Stale reads need a history
+   both runs share, so this transport never serves one; the chaos
+   oracle covers them. *)
+let keyed_chaos ~seed profile clock inner =
+  let exchange = ref 0 in
+  let seen = Hashtbl.create 16 in
+  let backend (req : Cm_http.Request.t) =
+    let header name =
+      Option.value ~default:""
+        (Cm_http.Headers.get name req.Cm_http.Request.headers)
+    in
+    let key =
+      String.concat "|"
+        [ string_of_int !exchange;
+          Meth.to_string req.Cm_http.Request.meth;
+          req.Cm_http.Request.path;
+          header "X-Auth-Token";
+          header "X-Subject-Token"
+        ]
+    in
+    let n = Option.value ~default:0 (Hashtbl.find_opt seen key) in
+    Hashtbl.replace seen key (n + 1);
+    let draw = Hashtbl.hash (Printf.sprintf "%d|%s|%d" seed key n) in
+    Chaos.backend (Chaos.create ~seed:draw profile clock inner) req
+  in
+  let next_exchange () =
+    incr exchange;
+    Hashtbl.reset seen
+  in
+  (backend, next_exchange)
+
+(* Everything a client or operator sees of an exchange. *)
+let visible_key (o : Outcome.t) =
+  Fmt.str "%d|%s|%s|%s|%s" o.response.Cm_http.Response.status
+    (Outcome.conformance_to_string o.conformance)
+    o.detail
+    (String.concat "," o.covered_requirements)
+    (match o.response.Cm_http.Response.body with
+     | Some body -> Cm_json.Printer.to_string body
+     | None -> "-")
+
+(* The only difference laziness may make: the forced run met a failed
+   observation (Degraded when it raised, Undefined when it answered
+   5xx).  The lazy run reads a subset of the same responses, so it
+   either never needed that observation and Kleene logic settled its
+   verdict without it, or it met a failure too — possibly a different
+   one first, since it reads in another order.  A definite forced
+   verdict must be matched exactly. *)
+let forced_indefinite (forced : Outcome.t) =
+  match forced.Outcome.conformance with
+  | Outcome.Undefined _ | Outcome.Degraded _ -> true
+  | _ -> false
+
+let lazy_check ~mode ~mutant ~profile ~chaos_seed trace =
+  let world () =
+    let next = ref ignore in
+    let transport clock inner =
+      let backend, next_exchange =
+        keyed_chaos ~seed:chaos_seed profile clock inner
+      in
+      next := next_exchange;
+      backend
+    in
+    Result.map
+      (fun ctx ->
+        (ctx, fun handle monitor req -> !next (); handle monitor req))
+      (Scenario.setup ~mode ~faults:mutant.Mutant.faults ~transport ())
+  in
+  match world (), world () with
+  | Error msgs, _ | _, Error msgs ->
+    Some ("lazy setup failed: " ^ String.concat "; " msgs)
+  | Ok (lazy_ctx, lazy_step), Ok (forced_ctx, forced_step) ->
+    let lazy_out =
+      Trace_gen.run ~handle:(lazy_step Monitor.handle) lazy_ctx trace
+    in
+    let forced_out =
+      Trace_gen.run ~handle:(forced_step Monitor.handle_forced) forced_ctx trace
+    in
+    (* After a permitted difference the two clouds may have diverged
+       (the forced run degraded before forwarding), so the comparison
+       stops there. *)
+    let rec walk i = function
+      | (l : Outcome.t) :: ls, (f : Outcome.t) :: fs ->
+        incr lazy_compared;
+        let lk = visible_key l and fk = visible_key f in
+        if String.equal lk fk then walk (i + 1) (ls, fs)
+        else if forced_indefinite f then begin
+          incr
+            (if Outcome.is_definite l.Outcome.conformance then lazy_settled
+             else lazy_both_indefinite);
+          None
+        end
+        else Some (Fmt.str "exchange %d: lazy [%s] vs forced [%s]" i lk fk)
+      | [], [] -> None
+      | _ -> Some "lazy and forced runs served different numbers of exchanges"
+    in
+    walk 0 (lazy_out, forced_out)
+
+(* Everything re-derivable from (seed, index, size): every named chaos
+   profile (fault-free included), both modes, every mutant. *)
+let lazy_case_inputs ~seed ~index ~size =
+  let rng_noise, rng_probe = case_streams ~seed index in
+  let profiles = Chaos.profiles in
+  let profile = List.nth profiles (index / 2 mod List.length profiles) in
+  let mode = if index land 1 = 0 then Monitor.Oracle else Monitor.Enforce in
+  let mutants = Mutant.all in
+  let mutant = List.nth mutants (index / 10 mod List.length mutants) in
+  let noise = Trace_gen.gen_noise rng_noise ~size:(monitor_noise_size size) in
+  let trace =
+    noise
+    @ { Trace_gen.user = "alice"; op = Trace_gen.Drain }
+      :: Trace_gen.probe_for mutant.Mutant.name rng_probe
+  in
+  (mode, mutant, profile, trace, seed + (7919 * index))
+
+let mode_name = function Monitor.Oracle -> "oracle" | Monitor.Enforce -> "enforce"
+
+let lazy_run ~shrink:_ ~seed ~index ~size =
+  let mode, mutant, profile, trace, chaos_seed =
+    lazy_case_inputs ~seed ~index ~size
+  in
+  match lazy_check ~mode ~mutant ~profile ~chaos_seed trace with
+  | None -> Pass
+  | Some detail ->
+    Fail
+      { oracle = "lazy";
+        index;
+        detail;
+        shrink_steps = 0;
+        repr =
+          Fmt.str "%s, %s mode, %s vs %s" mutant.Mutant.name (mode_name mode)
+            profile.Chaos.name (Trace_gen.to_string trace);
+        entry = Corpus.make ~oracle:"lazy" ~seed ~index ~size []
+      }
+
+let lazy_replay (entry : Corpus.entry) =
+  let mode, mutant, profile, trace, chaos_seed =
+    lazy_case_inputs ~seed:entry.seed ~index:entry.index ~size:entry.size
+  in
+  match lazy_check ~mode ~mutant ~profile ~chaos_seed trace with
+  | None -> Ok ()
+  | Some detail -> Error detail
+
+let lazy_observation =
+  { name = "lazy"; weight = 1; run_case = lazy_run; replay = lazy_replay }
+
 let all =
   [ engine; rbac; codegen; monitor; chaos; workload; journal ]
-let find name = List.find_opt (fun o -> o.name = name) all
+
+let every = all @ [ lazy_observation ]
+let find name = List.find_opt (fun o -> o.name = name) every

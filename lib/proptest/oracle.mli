@@ -74,5 +74,34 @@ val journal : t
     bit-identical to the journaled ones, and the two replays must agree
     on every {!outcome_key}. *)
 
+val lazy_observation : t
+(** Lazy observation against the eager reference.  A random trace
+    (every mutant, both modes, every named chaos profile, fault-free
+    included) runs twice on identically seeded clouds: once through
+    {!Cm_monitor.Monitor.handle}, and once through
+    {!Cm_monitor.Monitor.handle_forced}, which forces every observation
+    before evaluating it.  The chaos transport keys its faults by the
+    request, so a GET meets the same fault in both runs and the lazy
+    run reads a subset of the forced run's responses.  Every exchange
+    must look the same to the client and the operator (status,
+    conformance, detail, covered requirements, body).  The one permitted
+    difference: the forced verdict is [Undefined] or [Degraded] — it met
+    a failed observation.  The lazy verdict is then either definite,
+    settled by Kleene logic without that observation, or indefinite
+    too, having met a failure first in its own reading order.  Such a
+    difference is counted ({!lazy_differences}) and ends the comparison
+    of that trace, since the two clouds may diverge after it.  Not part
+    of {!all}: run it by name ([--oracle lazy]). *)
+
+val lazy_differences : unit -> int * int * int
+(** [(compared, settled, both_indefinite)]: exchanges the lazy oracle
+    compared in this process so far, and the permitted differences
+    among them whose lazy verdict was definite, resp. indefinite. *)
+
 val all : t list
+
+val every : t list
+(** {!all} and {!lazy_observation}. *)
+
 val find : string -> t option
+(** Look up any oracle of {!every} by name. *)

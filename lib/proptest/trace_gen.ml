@@ -105,7 +105,7 @@ let list_ids ctx =
      | _ -> [])
   | None -> []
 
-let run ctx trace =
+let run ?handle ctx trace =
   let last_created = ref None in
   let resolve = function
     | Ghost -> Some "vol-ghost"
@@ -116,7 +116,7 @@ let run ctx trace =
        | ids -> Some (List.nth ids (i mod List.length ids)))
   in
   let send ~user meth path ?body () =
-    ignore (Scenario.request ctx ~user meth path ?body ())
+    ignore (Scenario.request ?handle ctx ~user meth path ?body ())
   in
   let volume_body name size =
     Json.obj
@@ -130,7 +130,7 @@ let run ctx trace =
     | List_volumes -> send ~user Meth.GET volumes_path ()
     | Create (name, size) ->
       let outcome =
-        Scenario.request ctx ~user Meth.POST volumes_path
+        Scenario.request ?handle ctx ~user Meth.POST volumes_path
           ~body:(volume_body name size) ()
       in
       (match Scenario.created_volume_id outcome with

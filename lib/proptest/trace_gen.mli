@@ -41,10 +41,16 @@ val probe_for : string -> Rng.t -> t
 val with_probe : mutant:string -> Rng.t -> t -> t
 (** [noise @ [Drain as admin] @ probe_for mutant]. *)
 
-val run : Cm_mutation.Scenario.ctx -> t -> Cm_monitor.Outcome.t list
-(** Execute the trace through the monitor; returns all monitored
-    outcomes (oldest first).  Steps whose target cannot be resolved are
-    skipped — identically on every cloud in the same state. *)
+val run :
+  ?handle:(Cm_monitor.Monitor.t -> Cm_http.Request.t -> Cm_monitor.Outcome.t) ->
+  Cm_mutation.Scenario.ctx ->
+  t ->
+  Cm_monitor.Outcome.t list
+(** Execute the trace through the monitor ([handle], default
+    {!Cm_monitor.Monitor.handle}, serves each request); returns all
+    monitored outcomes (oldest first).  Steps whose target cannot be
+    resolved are skipped — identically on every cloud in the same
+    state. *)
 
 val to_string : t -> string
 val of_string : string -> (t, string) result

@@ -506,6 +506,54 @@ let recovery_tests =
             Alcotest.(check bool) "unknown key" true
               (Jmonitor.verdict_for_rid jm "no-such-key" = None))
           [ ctx.Scenario.jmon; recovered ]);
+    Alcotest.test_case "recovery reads the device in place, byte-identically"
+      `Quick (fun () ->
+        let ctx = record_standard () in
+        let image = Device.contents ctx.Scenario.jdevice in
+        (* the copying reference: verdict lines decoded from a copy *)
+        let copied_lines data =
+          List.filter_map
+            (fun payload ->
+              match Event.decode payload with
+              | Some (Event.Verdict v) -> Some (Event.verdict_line v)
+              | Some _ | None -> None)
+            (fst (Record.scan data))
+        in
+        Alcotest.(check (list string))
+          "verdict lines" (copied_lines image)
+          (Jmonitor.verdict_lines ctx.Scenario.jmon);
+        (* a cut inside the last exchange leaves one in flight *)
+        let spans, _ = Record.spans image in
+        let last_off, _ = List.nth spans (List.length spans - 1) in
+        let cut = String.sub image 0 (last_off - Record.header_length + 3) in
+        let report device =
+          match Jmonitor.recover device ctx.Scenario.jmake with
+          | Error msgs -> Alcotest.fail (String.concat "; " msgs)
+          | Ok (jm, rep) ->
+            ( Printf.sprintf "%d %d %d %d %d" rep.Jmonitor.events_scanned
+                rep.Jmonitor.discarded_bytes rep.Jmonitor.decoded
+                rep.Jmonitor.resumed rep.Jmonitor.rehandled,
+              Jmonitor.verdict_lines jm,
+              Device.contents device )
+        in
+        let fresh = report (mount cut) in
+        (* the same bytes with a well-formed frame past the end: written,
+           then truncated away, it must stay invisible to the in-place
+           reader *)
+        let reused = mount cut in
+        Device.append reused (Record.frame "v 999999 3:abc\n{}");
+        Device.truncate reused (String.length cut);
+        let reused = report reused in
+        let rep_fresh, lines_fresh, bytes_fresh = fresh
+        and rep_reused, lines_reused, bytes_reused = reused in
+        Alcotest.(check string) "report" rep_fresh rep_reused;
+        Alcotest.(check (list string)) "lines" lines_fresh lines_reused;
+        Alcotest.(check string) "device" bytes_fresh bytes_reused;
+        Alcotest.(check (list string))
+          "recovered lines equal a copying decode" (copied_lines bytes_fresh)
+          lines_fresh;
+        Alcotest.check_raises "view bounds" (Invalid_argument "Record.spans")
+          (fun () -> ignore (Record.spans ~len:(String.length cut + 1) cut)));
     Alcotest.test_case "a pending record with a header but no event is refused"
       `Quick (fun () ->
         let ctx = record_standard () in

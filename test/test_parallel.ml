@@ -625,6 +625,45 @@ let test_get_path_lock_free () =
     Alcotest.(check bool) "gate metric is exactly zero" true
       (report.SB.rp_get_locks_per_req = 0.)
 
+(* A failed speedup gate must say so in the JSON artifact: the rows it
+   relabels [Gate_failed] still count as gated rows. *)
+let test_speedup_gate_report () =
+  let spec = { SB.projects = 2; requests_per_project = 10; seed = 21 } in
+  match SB.run ~spec ~domains_list:[ 1 ] () with
+  | Error msgs -> Alcotest.fail (String.concat "; " msgs)
+  | Ok measured ->
+    let one = List.hd measured.SB.rp_scaling in
+    let with_speedup speedup =
+      { measured with
+        SB.rp_available_domains = 2;
+        rp_scaling =
+          [ { one with SB.sp_invalid = None };
+            { one with SB.sp_domains = 2; sp_invalid = None }
+          ];
+        rp_speedup = speedup;
+        rp_min_speedup = 1.6
+      }
+    in
+    let gate report =
+      match Cm_json.Json.member "speedup_gate" (SB.to_json report) with
+      | Some gate ->
+        ( Cm_json.Json.member "active" gate,
+          Cm_json.Json.member "passed" gate )
+      | None -> Alcotest.fail "no speedup_gate in the report"
+    in
+    let slow = with_speedup 0.8 in
+    Alcotest.(check bool) "below the floor fails" true
+      (Result.is_error (SB.check_speedup slow));
+    Alcotest.(check bool) "the JSON reports an active, failed gate" true
+      (gate slow = (Some (Cm_json.Json.Bool true), Some (Cm_json.Json.Bool false)));
+    Alcotest.(check bool) "a re-check still fails" true
+      (Result.is_error (SB.check_speedup slow));
+    let fast = with_speedup 2.0 in
+    Alcotest.(check bool) "above the floor passes" true
+      (Result.is_ok (SB.check_speedup fast));
+    Alcotest.(check bool) "the JSON reports an active, passed gate" true
+      (gate fast = (Some (Cm_json.Json.Bool true), Some (Cm_json.Json.Bool true)))
+
 (* ---- the cache cannot change what the monitor concludes ---- *)
 
 (* Same standard workload, cache off vs per-request vs cross-request:
@@ -802,7 +841,9 @@ let () =
         ] );
       ( "contention",
         [ Alcotest.test_case "monitored GET path takes zero locks" `Slow
-            test_get_path_lock_free
+            test_get_path_lock_free;
+          Alcotest.test_case "a failed speedup gate is reported as failed"
+            `Slow test_speedup_gate_report
         ] );
       ( "cache-verdicts",
         [ Alcotest.test_case "scope equivalence" `Quick
