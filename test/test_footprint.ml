@@ -166,7 +166,7 @@ let test_generated_contract_footprint () =
   with
   | Error msg -> Alcotest.fail msg
   | Ok contract ->
-    let prepared = Cm_contracts.Runtime.prepare contract in
+    let prepared = Cm_contracts.Runtime.(prepare ~cost:written_order) contract in
     let fp = Cm_contracts.Runtime.footprint prepared in
     Alcotest.(check bool) "reads project" true (Footprint.mentions fp "project");
     Alcotest.(check bool) "reads the volume" true (Footprint.mentions fp "volume");
